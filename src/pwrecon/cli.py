@@ -1,8 +1,8 @@
 """Command-line front end: simulate, model build, das, compound, solve,
 metrics, export-png, compose through container files.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 missing input file,
-4 invalid data or configuration, 5 solver failure.
+Exit codes: 0 success, 2 usage error (argparse), 3 missing input file or
+missing optional dependency, 4 invalid data or configuration, 5 solver failure.
 """
 
 from __future__ import annotations
@@ -251,7 +251,11 @@ def _cmd_export_png(args):
 
 
 def _cmd_ingest(args):
-    ch, _probe = ingest_picmus(args.file, angle_index=args.angle_index)
+    try:
+        ch, _probe = ingest_picmus(args.file, angle_index=args.angle_index)
+    except RuntimeError as err:  # the optional h5py dependency is missing
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_MISSING_INPUT
     write_container(ch, args.out)
     return EXIT_OK
 

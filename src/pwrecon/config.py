@@ -125,10 +125,20 @@ class RunConfig:
         return PlaneWaveTx(angle=self.tx_angles[index])
 
     def resolve_time_window(self):
-        """Probe (with start offset) and sample count covering the grid."""
+        """Probe (with start offset) and sample count covering the grid.
+
+        The window is the union of every transmit angle's own window, so
+        steered transmits keep all their delays.
+        """
         if self.num_samples is not None:
             return self.probe, self.num_samples
-        t0, num = suggest_time_window(self.probe, self.grid, self.tx())
+        windows = [
+            suggest_time_window(self.probe, self.grid, self.tx(k))
+            for k in range(len(self.tx_angles))
+        ]
+        t0 = min(start for start, _ in windows)
+        fs = self.probe.sampling_freq
+        num = max(round((start - t0) * fs) + count for start, count in windows)
         return replace(self.probe, t0_offset=t0), num
 
 

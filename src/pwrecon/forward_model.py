@@ -17,8 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,11 +36,7 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "cached_system_matrix",
-    "MATRIX_MAGIC",
 ]
-
-MATRIX_MAGIC = b"USJM"
-MATRIX_VERSION = 1
 
 WINDOWS = ("rectangular", "hanning", "tukey")
 
@@ -178,26 +173,21 @@ def apply_adjoint(model, y):
     return model.apply_adjoint(y)
 
 
-def _fingerprint(probe, grid, tx, num_samples, apod):
-    payload = json.dumps(
-        {
-            "format": MATRIX_VERSION,
-            "probe": [
-                probe.num_elements,
-                probe.pitch,
-                probe.sound_speed,
-                probe.sampling_freq,
-                probe.center_freq,
-                probe.t0_offset,
-            ],
-            "grid": [grid.nz, grid.nx, grid.dz, grid.dx, grid.z_origin],
-            "angle": tx.angle,
-            "num_samples": num_samples,
-            "apod": [apod.window, apod.f_number, apod.taper, apod.min_half_aperture],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+def matrix_geometry(probe, grid, tx, num_samples, apod):
+    """Everything a system matrix depends on, as stored in its container."""
+    return {
+        "probe": asdict(probe),
+        "grid": asdict(grid),
+        "tx": asdict(tx),
+        "apodization": asdict(apod),
+        "num_samples": num_samples,
+    }
+
+
+def geometry_fingerprint(probe, grid, tx, num_samples, apod):
+    """sha256 of the matrix geometry JSON (sorted keys) that identifies a matrix."""
+    geometry = matrix_geometry(probe, grid, tx, num_samples, apod)
+    return hashlib.sha256(json.dumps(geometry, sort_keys=True).encode()).hexdigest()
 
 
 def build_system_matrix(probe, grid, tx, num_samples, apod):
@@ -290,7 +280,7 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
         tx=tx,
         apodization=apod,
         num_time_samples=m_count,
-        fingerprint=_fingerprint(probe, grid, tx, m_count, apod),
+        fingerprint=geometry_fingerprint(probe, grid, tx, m_count, apod),
     )
 
 
@@ -327,106 +317,23 @@ def suggest_time_window(probe, grid, tx, guard=2):
     return t0, num
 
 
-# --- matrix cache file ------------------------------------------------------
-#
-# Layout (all little-endian):
-#   magic "USJM" | version u16 | meta_len u32 | meta JSON (utf-8)
-#   | num_rows u64 | num_cols u64 | nnz u64
-#   | indptr  (num_rows+1) i64 | indices nnz i32 | weights nnz f64
-
-
 def save_matrix(model, path):
-    """Write a system matrix to its binary cache format (atomic)."""
-    mat = model.matrix
-    meta = {
-        "fingerprint": model.fingerprint,
-        "num_samples": model.num_time_samples,
-        "probe": {
-            "num_elements": model.probe.num_elements,
-            "pitch": model.probe.pitch,
-            "sound_speed": model.probe.sound_speed,
-            "sampling_freq": model.probe.sampling_freq,
-            "center_freq": model.probe.center_freq,
-            "t0_offset": model.probe.t0_offset,
-        },
-        "grid": {
-            "nz": model.grid.nz,
-            "nx": model.grid.nx,
-            "dz": model.grid.dz,
-            "dx": model.grid.dx,
-            "z_origin": model.grid.z_origin,
-        },
-        "tx": {"angle": model.tx.angle},
-        "apodization": {
-            "window": model.apodization.window,
-            "f_number": model.apodization.f_number,
-            "taper": model.apodization.taper,
-            "min_half_aperture": model.apodization.min_half_aperture,
-        },
-    }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    indptr = np.asarray(mat.indptr, dtype="<i8")
-    indices = np.asarray(mat.indices, dtype="<i4")
-    weights = np.asarray(mat.data, dtype="<f8")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<HI", MATRIX_VERSION, len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<QQQ", mat.shape[0], mat.shape[1], mat.nnz))
-        f.write(indptr.tobytes())
-        f.write(indices.tobytes())
-        f.write(weights.tobytes())
-    os.replace(tmp, path)
+    """Write a system matrix as a "matrix" container (atomic)."""
+    from .io import write_container  # io imports this module
 
-
-def _read_exact(f, n, path, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ValueError("truncated matrix file %s while reading %s" % (path, what))
-    return buf
+    write_container(model, path)
 
 
 def load_matrix(path):
-    """Read a system matrix cache file back into a SparseSystemMatrix."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != MATRIX_MAGIC:
-            raise ValueError("bad magic in matrix file %s" % path)
-        version, meta_len = struct.unpack("<HI", _read_exact(f, 6, path, "header"))
-        if version != MATRIX_VERSION:
-            raise ValueError(
-                "matrix file %s has version %d, expected %d"
-                % (path, version, MATRIX_VERSION)
-            )
-        meta = json.loads(_read_exact(f, meta_len, path, "metadata"))
-        num_rows, num_cols, nnz = struct.unpack(
-            "<QQQ", _read_exact(f, 24, path, "dims")
-        )
-        indptr = np.frombuffer(
-            _read_exact(f, 8 * (num_rows + 1), path, "indptr"), dtype="<i8"
-        )
-        indices = np.frombuffer(_read_exact(f, 4 * nnz, path, "indices"), dtype="<i4")
-        weights = np.frombuffer(_read_exact(f, 8 * nnz, path, "weights"), dtype="<f8")
-    probe = ProbeGeometry(**meta["probe"])
-    grid = ImagingGrid(**meta["grid"])
-    tx = PlaneWaveTx(**meta["tx"])
-    apod = ApodizationSpec(**meta["apodization"])
-    matrix = sp.csr_matrix(
-        (weights.copy(), indices.copy(), indptr.copy()), shape=(num_rows, num_cols)
-    )
-    model = SparseSystemMatrix(
-        matrix=matrix,
-        probe=probe,
-        grid=grid,
-        tx=tx,
-        apodization=apod,
-        num_time_samples=meta["num_samples"],
-        fingerprint=meta["fingerprint"],
-    )
-    expected = _fingerprint(probe, grid, tx, model.num_time_samples, apod)
-    if expected != model.fingerprint:
-        raise ValueError("fingerprint mismatch in matrix file %s" % path)
+    """Read a "matrix" container back into a SparseSystemMatrix.
+
+    The fingerprint is re-derived from the stored geometry and checked.
+    """
+    from .io import StructureError, read_container
+
+    model = read_container(path)
+    if not isinstance(model, SparseSystemMatrix):
+        raise StructureError("%s does not hold a system matrix" % path)
     return model
 
 
@@ -439,7 +346,7 @@ def cached_system_matrix(probe, grid, tx, num_samples, apod, cache_dir=None):
     cache_dir = cache_dir or os.environ.get("PWRECON_CACHE_DIR")
     if not cache_dir:
         return build_system_matrix(probe, grid, tx, num_samples, apod)
-    fp = _fingerprint(probe, grid, tx, num_samples, apod)
+    fp = geometry_fingerprint(probe, grid, tx, num_samples, apod)
     path = os.path.join(cache_dir, "sysmat_%s.usjm" % fp[:16])
     if os.path.exists(path):
         try:

@@ -4,11 +4,13 @@ Container layout (all integers little-endian):
 
     magic "USJD" | version u16 | kind_len u8 | kind ascii
     | meta_len u32 | metadata JSON (utf-8)
-    | count u64 | payload count * f32
+    | one section per payload array of the kind (see PAYLOADS):
+      count u64 | count values of the array's dtype
 
-The metadata JSON carries dims, units, and enough geometry to rebuild the
-typed object. System matrices use their own "USJM" cache format; both
-read_container and write_container transparently delegate for those.
+The metadata JSON carries dims and the geometry dataclasses as dicts
+(``dataclasses.asdict``), enough to rebuild the typed object. A system
+matrix is the "matrix" kind: its CSR arrays plus a geometry fingerprint
+that is re-derived and checked on every read.
 Writes are atomic (write to a temp file, then rename).
 """
 
@@ -17,8 +19,10 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import forward_model
 from .acquisition import (
@@ -49,7 +53,17 @@ __all__ = [
 CONTAINER_MAGIC = b"USJD"
 CONTAINER_VERSION = 1
 
-KINDS = ("channel", "rfimage", "bmode", "psf", "phantom", "matrix")
+# kind -> dtypes of its payload arrays, in file order
+PAYLOADS = {
+    "channel": ("<f4",),
+    "rfimage": ("<f4",),
+    "bmode": ("<f4",),
+    "psf": ("<f4",),
+    "phantom": ("<f4",),
+    "matrix": ("<i8", "<i4", "<f8"),  # CSR row pointers, column indices, weights
+}
+
+_ANNOTATION_TYPES = {"point": PointTarget, "cyst": CystRegion}
 
 
 class ContainerError(ValueError):
@@ -72,146 +86,93 @@ class StructureError(ContainerError):
     pass
 
 
-def _probe_meta(probe):
-    return {
-        "num_elements": probe.num_elements,
-        "pitch": probe.pitch,
-        "sound_speed": probe.sound_speed,
-        "sampling_freq": probe.sampling_freq,
-        "center_freq": probe.center_freq,
-        "t0_offset": probe.t0_offset,
-    }
-
-
-def _grid_meta(grid):
-    return {
-        "nz": grid.nz,
-        "nx": grid.nx,
-        "dz": grid.dz,
-        "dx": grid.dx,
-        "z_origin": grid.z_origin,
-    }
-
-
 def _annotation_meta(ann):
-    if isinstance(ann, PointTarget):
-        return {
-            "type": "point",
-            "iz": ann.iz,
-            "ix": ann.ix,
-            "z": ann.z,
-            "x": ann.x,
-            "amplitude": ann.amplitude,
-        }
-    if isinstance(ann, CystRegion):
-        return {"type": "cyst", "z": ann.z, "x": ann.x, "radius": ann.radius}
+    for tag, cls in _ANNOTATION_TYPES.items():
+        if isinstance(ann, cls):
+            return {"type": tag, **asdict(ann)}
     raise TypeError("unknown annotation type %r" % type(ann))
 
 
 def _annotation_from_meta(d):
-    if d["type"] == "point":
-        return PointTarget(
-            iz=d["iz"], ix=d["ix"], z=d["z"], x=d["x"], amplitude=d["amplitude"]
-        )
-    if d["type"] == "cyst":
-        return CystRegion(z=d["z"], x=d["x"], radius=d["radius"])
-    raise StructureError("unknown annotation type %r" % d["type"])
+    d = dict(d)
+    return _ANNOTATION_TYPES[d.pop("type")](**d)
 
 
 def _encode(obj):
-    """Return (kind, metadata dict, float payload) for a supported object."""
+    """Return (kind, metadata dict, payload arrays) for a supported object."""
+    if isinstance(obj, forward_model.SparseSystemMatrix):
+        mat = obj.matrix
+        meta = {
+            "dims": list(mat.shape),
+            "fingerprint": obj.fingerprint,
+            **forward_model.matrix_geometry(
+                obj.probe, obj.grid, obj.tx, obj.num_time_samples, obj.apodization
+            ),
+        }
+        return "matrix", meta, (mat.indptr, mat.indices, mat.data)
     if isinstance(obj, ChannelData):
         meta = {
             "dims": list(obj.samples.shape),
-            "probe": _probe_meta(obj.probe),
-            "tx": {"angle": obj.tx.angle},
+            "probe": asdict(obj.probe),
+            "tx": asdict(obj.tx),
         }
-        return "channel", meta, obj.samples
+        return "channel", meta, (obj.samples,)
     if isinstance(obj, BModeImage):
         meta = {
             "dims": list(obj.data.shape),
-            "grid": _grid_meta(obj.grid),
+            "grid": asdict(obj.grid),
             "dynamic_range": obj.dynamic_range,
         }
-        return "bmode", meta, obj.data
+        return "bmode", meta, (obj.data,)
     if isinstance(obj, RfImage):
-        meta = {"dims": list(obj.data.shape), "grid": _grid_meta(obj.grid)}
-        return "rfimage", meta, obj.data
+        meta = {"dims": list(obj.data.shape), "grid": asdict(obj.grid)}
+        return "rfimage", meta, (obj.data,)
     if isinstance(obj, Psf):
         meta = {"dims": list(obj.kernel.shape), "dz": obj.dz, "dx": obj.dx}
-        return "psf", meta, obj.kernel
+        return "psf", meta, (obj.kernel,)
     if isinstance(obj, Phantom):
         meta = {
             "dims": list(obj.trf.shape),
-            "grid": _grid_meta(obj.grid),
+            "grid": asdict(obj.grid),
             "annotations": [_annotation_meta(a) for a in obj.annotations],
         }
-        return "phantom", meta, obj.trf
+        return "phantom", meta, (obj.trf,)
     raise TypeError("cannot serialize object of type %r" % type(obj).__name__)
 
 
-def write_container(obj, path):
-    """Serialize a supported object to ``path`` atomically."""
-    if isinstance(obj, forward_model.SparseSystemMatrix):
-        forward_model.save_matrix(obj, path)
-        return
-    kind, meta, payload = _encode(obj)
-    payload = np.ascontiguousarray(payload, dtype="<f4")
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    kind_bytes = kind.encode("ascii")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CONTAINER_MAGIC)
-        f.write(struct.pack("<HB", CONTAINER_VERSION, len(kind_bytes)))
-        f.write(kind_bytes)
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<Q", payload.size))
-        f.write(payload.tobytes())
-    os.replace(tmp, path)
-
-
-def _read_exact(f, n, path, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError("%s: truncated while reading %s" % (path, what))
-    return buf
-
-
-def read_container(path):
-    """Read a container file back into its typed object."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-    if magic == forward_model.MATRIX_MAGIC:
-        return forward_model.load_matrix(path)
-    if magic != CONTAINER_MAGIC:
-        raise BadMagicError("%s: bad magic %r" % (path, magic))
-    with open(path, "rb") as f:
-        f.seek(4)
-        version, kind_len = struct.unpack("<HB", _read_exact(f, 3, path, "header"))
-        if version != CONTAINER_VERSION:
-            raise VersionMismatchError(
-                "%s: container version %d, expected %d"
-                % (path, version, CONTAINER_VERSION)
-            )
-        kind = _read_exact(f, kind_len, path, "kind").decode("ascii")
-        if kind not in KINDS:
-            raise StructureError("%s: unknown kind %r" % (path, kind))
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata length"))
-        try:
-            meta = json.loads(_read_exact(f, meta_len, path, "metadata"))
-        except json.JSONDecodeError as err:
-            raise StructureError("%s: metadata does not parse: %s" % (path, err))
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, path, "payload length"))
-        payload = np.frombuffer(
-            _read_exact(f, 4 * count, path, "payload"), dtype="<f4"
-        ).astype(np.float64)
-    dims = meta.get("dims")
-    if not dims or int(np.prod(dims)) != count:
-        raise StructureError(
-            "%s: payload length %d does not match dims %s" % (path, count, dims)
+def _decode(kind, meta, arrays):
+    """Rebuild the typed object; raises KeyError, TypeError or ValueError."""
+    if kind == "matrix":
+        probe = ProbeGeometry(**meta["probe"])
+        grid = ImagingGrid(**meta["grid"])
+        tx = PlaneWaveTx(**meta["tx"])
+        apod = forward_model.ApodizationSpec(**meta["apodization"])
+        num_samples = meta["num_samples"]
+        fingerprint = forward_model.geometry_fingerprint(
+            probe, grid, tx, num_samples, apod
         )
-    data = payload.reshape(dims)
+        if fingerprint != meta["fingerprint"]:
+            raise ValueError("fingerprint mismatch")
+        indptr, indices, weights = arrays
+        matrix = sp.csr_matrix((weights, indices, indptr), shape=tuple(meta["dims"]))
+        # an index out of range would make every product read out of bounds
+        matrix.check_format(full_check=True)
+        return forward_model.SparseSystemMatrix(
+            matrix=matrix,
+            probe=probe,
+            grid=grid,
+            tx=tx,
+            apodization=apod,
+            num_time_samples=num_samples,
+            fingerprint=fingerprint,
+        )
+    (payload,) = arrays
+    dims = meta["dims"]
+    if not dims or int(np.prod(dims)) != payload.size:
+        raise ValueError(
+            "payload length %d does not match dims %s" % (payload.size, dims)
+        )
+    data = payload.astype(np.float64).reshape(dims)
     if kind == "channel":
         return ChannelData(
             samples=data,
@@ -227,14 +188,80 @@ def read_container(path):
             dynamic_range=meta["dynamic_range"],
         )
     if kind == "psf":
-        return Psf(kernel=data, dz=meta.get("dz"), dx=meta.get("dx"))
-    if kind == "phantom":
-        return Phantom(
-            trf=data,
-            grid=ImagingGrid(**meta["grid"]),
-            annotations=[_annotation_from_meta(a) for a in meta.get("annotations", [])],
+        return Psf(kernel=data, dz=meta["dz"], dx=meta["dx"])
+    return Phantom(
+        trf=data,
+        grid=ImagingGrid(**meta["grid"]),
+        annotations=[_annotation_from_meta(a) for a in meta["annotations"]],
+    )
+
+
+def write_container(obj, path):
+    """Serialize a supported object to ``path`` atomically."""
+    kind, meta, arrays = _encode(obj)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    kind_bytes = kind.encode("ascii")
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(CONTAINER_MAGIC)
+        f.write(struct.pack("<HB", CONTAINER_VERSION, len(kind_bytes)))
+        f.write(kind_bytes)
+        f.write(struct.pack("<I", len(meta_bytes)))
+        f.write(meta_bytes)
+        for array, dtype in zip(arrays, PAYLOADS[kind]):
+            array = np.ascontiguousarray(array, dtype=dtype)
+            f.write(struct.pack("<Q", array.size))
+            f.write(array.tobytes())
+    os.replace(tmp, path)
+
+
+def _read_exact(f, n, path, what):
+    """Read n bytes into a writable buffer, refusing more than the file holds."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncatedFileError(
+            "%s: truncated while reading %s (%d bytes needed, %d left)"
+            % (path, what, n, left)
         )
-    raise StructureError("%s: unhandled kind %r" % (path, kind))
+    buf = bytearray(n)
+    if f.readinto(buf) != n:
+        raise TruncatedFileError("%s: truncated while reading %s" % (path, what))
+    return buf
+
+
+def read_container(path):
+    """Read a container file back into its typed object."""
+    with open(path, "rb") as f:
+        magic = bytes(_read_exact(f, 4, path, "magic"))
+        if magic != CONTAINER_MAGIC:
+            raise BadMagicError("%s: bad magic %r" % (path, magic))
+        version, kind_len = struct.unpack("<HB", _read_exact(f, 3, path, "header"))
+        if version != CONTAINER_VERSION:
+            raise VersionMismatchError(
+                "%s: container version %d, expected %d"
+                % (path, version, CONTAINER_VERSION)
+            )
+        kind = _read_exact(f, kind_len, path, "kind").decode("ascii", "replace")
+        if kind not in PAYLOADS:
+            raise StructureError("%s: unknown kind %r" % (path, kind))
+        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata length"))
+        meta_bytes = _read_exact(f, meta_len, path, "metadata")
+        try:
+            meta = json.loads(meta_bytes)
+        except ValueError as err:  # bad JSON or bad utf-8
+            raise StructureError("%s: metadata does not parse: %s" % (path, err))
+        arrays = []
+        for dtype in map(np.dtype, PAYLOADS[kind]):
+            (count,) = struct.unpack("<Q", _read_exact(f, 8, path, "payload length"))
+            buf = _read_exact(f, count * dtype.itemsize, path, "payload")
+            arrays.append(np.frombuffer(buf, dtype=dtype))
+    try:
+        return _decode(kind, meta, arrays)
+    except (KeyError, TypeError, ValueError) as err:
+        raise StructureError(
+            "%s: malformed %s container: %s: %s"
+            % (path, kind, type(err).__name__, err)
+        )
 
 
 PICMUS_HINT = (

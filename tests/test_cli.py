@@ -1,11 +1,13 @@
 """Command-line pipeline: subcommands composing through container files."""
 
 import json
+import struct
+import sys
 
 import numpy as np
 import pytest
 
-from pwrecon import read_container
+from pwrecon import ImagingGrid, RfImage, read_container, write_container
 from pwrecon.cli import main
 
 
@@ -150,6 +152,55 @@ class TestCliErrors:
         ])
         assert code == 3
         assert "dataset not found" in capsys.readouterr().err
+
+    def test_missing_h5py_exit_code(self, tmp_path, monkeypatch, capsys):
+        # A None entry makes ``import h5py`` fail even where h5py is installed.
+        monkeypatch.setitem(sys.modules, "h5py", None)
+        junk = tmp_path / "junk.hdf5"
+        junk.write_bytes(b"junk")
+        code = main([
+            "ingest-picmus", "--file", str(junk), "--out", str(tmp_path / "o.usjd"),
+        ])
+        assert code == 3
+        assert "h5py" in capsys.readouterr().err
+
+    @staticmethod
+    def _rfimage(path):
+        grid = ImagingGrid(nz=4, nx=3, dz=1e-4, dx=3e-4, z_origin=0.0)
+        write_container(RfImage(np.ones(grid.shape), grid), path)
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[14:18])
+        return blob, meta_len
+
+    def test_oversized_payload_count_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "img.usjd"
+        blob, meta_len = self._rfimage(path)
+        count_at = 18 + meta_len
+        path.write_bytes(
+            blob[:count_at] + struct.pack("<Q", 2**62) + blob[count_at + 8 :]
+        )
+        code = main([
+            "export-png", "--input", str(path), "--out", str(tmp_path / "o.png"),
+        ])
+        assert code == 4
+        assert "truncated" in capsys.readouterr().err
+
+    def test_missing_metadata_key_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "img.usjd"
+        blob, meta_len = self._rfimage(path)
+        meta = json.loads(blob[18 : 18 + meta_len])
+        del meta["grid"]
+        meta_bytes = json.dumps(meta).encode()
+        path.write_bytes(
+            blob[:14] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+            + blob[18 + meta_len :]
+        )
+        code = main([
+            "export-png", "--input", str(path), "--out", str(tmp_path / "o.png"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "rfimage" in err and "grid" in err and "Traceback" not in err
 
     def test_bad_container_exit_code(self, small_config, tmp_path):
         bad = tmp_path / "bad.usjd"

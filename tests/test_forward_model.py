@@ -1,5 +1,8 @@
 """System-matrix construction against a dense triple-loop oracle, delay and
-apodization closed forms, adjoint consistency, caching."""
+apodization closed forms, adjoint consistency, caching, time windows."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,8 +17,11 @@ from pwrecon import (
     load_matrix,
     propagation_delay,
     save_matrix,
+    suggest_time_window,
 )
+from pwrecon.config import get_builtin_config, run_config_from_dict
 from pwrecon.forward_model import cached_system_matrix
+from pwrecon.pipeline import build_model
 
 
 def dense_oracle(probe, grid, tx, num_samples, apod):
@@ -288,3 +294,37 @@ class TestCacheFile:
             cache_dir=str(tmp_path),
         )
         assert np.array_equal(first.matrix.data, second.matrix.data)
+
+    def test_corrupt_payload_count_rebuilds(self, tiny_instance, tmp_path):
+        inst = tiny_instance
+        args = (
+            inst["probe"], inst["grid"], inst["tx"], inst["num_samples"], inst["apod"]
+        )
+        cached_system_matrix(*args, cache_dir=str(tmp_path))
+        (path,) = tmp_path.glob("sysmat_*.usjm")
+        blob = path.read_bytes()
+        # the first array's length field follows the metadata JSON
+        text = blob.decode("latin-1")
+        _, count_at = json.JSONDecoder().raw_decode(text, text.index('{"'))
+        path.write_bytes(
+            blob[:count_at] + struct.pack("<Q", 2**62) + blob[count_at + 8 :]
+        )
+        rebuilt = cached_system_matrix(*args, cache_dir=str(tmp_path))
+        assert rebuilt.nnz == inst["model"].nnz
+        assert load_matrix(path).nnz == inst["model"].nnz
+
+
+class TestSteeredTimeWindow:
+    def test_window_covers_every_angle(self):
+        doc = get_builtin_config("desk_point")
+        doc["tx_angles"] = [0.0, -0.3, 0.3]
+        cfg = run_config_from_dict(doc)
+        probe, num = cfg.resolve_time_window()
+        fs = probe.sampling_freq
+        for k in range(len(cfg.tx_angles)):
+            t0, n = suggest_time_window(cfg.probe, cfg.grid, cfg.tx(k))
+            assert t0 >= probe.t0_offset
+            assert round((t0 - probe.t0_offset) * fs) + n <= num
+            model = build_model(cfg, angle_index=k)
+            assert model.num_time_samples == num
+            assert np.all(np.diff(model.matrix.tocsc().indptr) > 0)

@@ -6,12 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwrecon import (
     BModeImage,
     ChannelData,
+    CystRegion,
+    ImagingGrid,
     Phantom,
     PlaneWaveTx,
+    PointTarget,
     Psf,
     RfImage,
     make_point_phantom,
@@ -19,7 +24,9 @@ from pwrecon import (
     write_container,
 )
 from pwrecon.io import (
+    PAYLOADS,
     BadMagicError,
+    ContainerError,
     StructureError,
     TruncatedFileError,
     VersionMismatchError,
@@ -126,9 +133,88 @@ class TestContainerErrors:
         with pytest.raises((StructureError, TruncatedFileError)):
             read_container(path)
 
+    def test_matrix_index_out_of_range(self, tiny_instance, tmp_path):
+        path = tmp_path / "m.usjd"
+        write_container(tiny_instance["model"], path)
+        blob = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack("<I", blob[13:17])  # kind "matrix": 6 bytes
+        indptr_at = 17 + meta_len
+        (num_indptr,) = struct.unpack("<Q", blob[indptr_at : indptr_at + 8])
+        indices_at = indptr_at + 8 + 8 * num_indptr + 8
+        blob[indices_at : indices_at + 4] = struct.pack("<i", 10**6)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StructureError, match="indices"):
+            read_container(path)
+
     def test_unknown_object_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_container(object(), tmp_path / "x.usjd")
+
+
+def _sample(kind, seed, nz, nx, z_origin, instance):
+    """A small object of one container kind; matrices come from ``instance``."""
+    rng = np.random.default_rng(seed)
+    grid = ImagingGrid(nz=nz, nx=nx, dz=1e-4, dx=3e-4, z_origin=z_origin)
+    if kind == "matrix":
+        return instance["model"]
+    if kind == "channel":
+        samples = rng.standard_normal((nz, instance["probe"].num_elements))
+        return ChannelData(samples, PlaneWaveTx(angle=z_origin), instance["probe"])
+    if kind == "rfimage":
+        return RfImage(rng.standard_normal(grid.shape), grid)
+    if kind == "bmode":
+        return BModeImage(-60.0 * rng.random(grid.shape), grid, 60.0)
+    if kind == "psf":
+        return Psf(rng.standard_normal((2 * nz - 1, 2 * nx - 1)), dz=grid.dz, dx=None)
+    annotations = [
+        PointTarget(iz=nz - 1, ix=0, z=z_origin, x=0.0, amplitude=1.5),
+        CystRegion(z=z_origin, x=-1e-3, radius=2e-3),
+    ]
+    return Phantom(rng.standard_normal(grid.shape), grid, annotations)
+
+
+def _assert_same(back, obj):
+    assert type(back) is type(obj)
+    for name, value in vars(obj).items():
+        other = getattr(back, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(other, value.astype("<f4"))
+        elif name == "matrix":
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(other, part), getattr(value, part))
+            assert other.shape == value.shape
+        elif name != "_tf_cache":
+            assert other == value
+
+
+class TestContainerProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PAYLOADS)),
+        seed=st.integers(0, 2**32 - 1),
+        nz=st.integers(1, 6),
+        nx=st.integers(1, 6),
+        z_origin=st.floats(-1.0, 1.0),
+    )
+    def test_every_kind_round_trips(
+        self, tmp_path_factory, tiny_instance, kind, seed, nz, nx, z_origin
+    ):
+        obj = _sample(kind, seed, nz, nx, z_origin, tiny_instance)
+        path = tmp_path_factory.mktemp("rt") / "obj.usjd"
+        write_container(obj, path)
+        _assert_same(read_container(path), obj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(PAYLOADS)), data=st.data())
+    def test_every_strict_prefix_is_a_container_error(
+        self, tmp_path_factory, tiny_instance, kind, data
+    ):
+        path = tmp_path_factory.mktemp("prefix") / "obj.usjd"
+        write_container(_sample(kind, 0, 3, 3, 0.0, tiny_instance), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(ContainerError):
+            read_container(path)
 
 
 def make_picmus_file(path, num_angles=5, num_elements=16, num_samples=64,
