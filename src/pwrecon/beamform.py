@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .forward_model import apodization_weight, propagation_delay
+from .forward_model import element_geometry
 
 __all__ = [
     "RfImage",
@@ -75,11 +75,8 @@ def das_beamform(ch, grid, apod):
     fs = probe.sampling_freq
     t0 = probe.t0_offset
     m_count = ch.num_samples
-    z_flat = np.repeat(grid.z_positions, grid.nx)
-    x_flat = np.tile(grid.x_positions, grid.nz)
     acc = np.zeros(grid.num_pixels)
-    for n, elem_x in enumerate(probe.element_positions):
-        tau = propagation_delay((z_flat, x_flat), elem_x, ch.tx, probe.sound_speed)
+    for n, (tau, w) in enumerate(element_geometry(probe, grid, ch.tx, apod)):
         s = (tau - t0) * fs
         valid = (s >= 0.0) & (s <= m_count - 1)
         i0 = np.clip(np.floor(s).astype(np.int64), 0, m_count - 1)
@@ -87,9 +84,9 @@ def das_beamform(ch, grid, apod):
         frac = s - i0
         trace = ch.samples[:, n]
         vals = (1.0 - frac) * trace[i0] + frac * trace[i1]
-        w = apodization_weight((z_flat, x_flat), elem_x, apod)
         acc += np.where(valid, w * vals, 0.0)
-    return RfImage(data=acc.reshape(grid.shape), grid=grid)
+    # pixels come in column order; images are stored C-contiguous
+    return RfImage(np.ascontiguousarray(acc.reshape(grid.shape, order="F")), grid)
 
 
 def compound(images):

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import pipeline
 from .beamform import BModeImage, RfImage, compound, envelope, export_png, log_compress
-from .config import ConfigError, load_run_config, preset_solver_config
+from .config import ConfigError, load_run_config, mode_fields, preset_solver_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask, gcnr, cnr
 from .solver import SolverError, solve
@@ -153,34 +154,25 @@ def _cmd_solve(args):
     if args.preset:
         scfg = preset_solver_config(mode, args.preset)
     elif args.mode:
-        from dataclasses import replace
-
-        if mode == "beamform_only":
-            scfg = replace(scfg, mode=mode, gamma_d=0.0, gamma_b=scfg.gamma_b or 1.0)
-        elif mode == "deconv_only":
-            scfg = replace(scfg, mode=mode, gamma_b=0.0, gamma_d=scfg.gamma_d or 1.0)
-        else:
-            scfg = replace(scfg, mode=mode)
+        scfg = replace(scfg, **mode_fields(mode, vars(scfg)))
 
     ch = read_container(args.channel) if args.channel else None
     y_das = read_container(args.das) if args.das else None
     psf = read_container(args.psf) if args.psf else None
     model = None
-    needs_model = scfg.gamma_b > 0 or scfg.mode == "sequential"
-    if needs_model:
+    if scfg.gamma_b > 0 or scfg.mode == "sequential":
         if ch is None:
             raise ConfigError("mode %r needs --channel data" % scfg.mode)
         model = pipeline.build_model(cfg)
-    needs_blur = scfg.gamma_d > 0 or scfg.mode == "sequential"
-    if needs_blur:
-        if y_das is None:
-            if ch is None:
-                raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
-            if model is None:
-                model = pipeline.build_model(cfg)
-            y_das = pipeline.reference_das(model, ch)
-        if psf is None:
-            psf = pipeline.resolve_psf(cfg, model=model)
+    # sequential mode deblurs its own first stage, never a DAS image
+    if y_das is None and scfg.gamma_d > 0 and scfg.mode != "sequential":
+        if ch is None:
+            raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
+        if model is None:
+            model = pipeline.build_model(cfg)
+        y_das = pipeline.reference_das(model, ch)
+    if psf is None and (scfg.gamma_d > 0 or scfg.mode == "sequential"):
+        psf = pipeline.resolve_psf(cfg, model=model)
     report = solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)
     write_container(report.result, args.out)
     if args.report:

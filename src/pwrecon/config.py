@@ -8,10 +8,11 @@ offending key named.
 
 from __future__ import annotations
 
+import builtins
 import copy
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
 from .forward_model import ApodizationSpec, suggest_time_window
@@ -22,6 +23,8 @@ __all__ = [
     "RunConfig",
     "PRESET_NAMES",
     "preset_solver_config",
+    "solver_config",
+    "mode_fields",
     "load_run_config",
     "builtin_config_names",
     "get_builtin_config",
@@ -33,77 +36,55 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
-PRESET_NAMES = ("sr", "er", "sc", "ec", "cc", "cl")
-
-# Per-experiment hyperparameters for each reconstruction flavor. The joint
-# entries are (gamma_d, gamma_b, beta, mu); the single-term entries are
-# (mu, beta) with the active data weight fixed to 1.
-_JOINT_PRESETS = {
-    "sr": (1.0, 0.1, 500.0, 5.0),
-    "er": (2.0, 1.0, 1e3, 0.1),
-    "sc": (1.0, 0.1, 1e3, 0.1),
-    "ec": (1.0, 0.1, 1e3, 0.1),
-    "cc": (0.5, 3.0, 5e3, 1.0),
-    "cl": (0.5, 3.0, 5e3, 1.0),
+# Per-experiment hyperparameters: (gamma_d, gamma_b, beta, mu) of the joint
+# reconstruction, then (mu, beta) of the beamform_only and of the deconv_only
+# reconstructions, whose active data weight is fixed to 1.
+_PRESETS = {
+    "sr": ((1.0, 0.1, 500.0, 5.0), (5.0, 1e3), (3.0, 1e3)),
+    "er": ((2.0, 1.0, 1e3, 0.1), (0.05, 1e4), (0.05, 1e3)),
+    "sc": ((1.0, 0.1, 1e3, 0.1), (0.5, 1e3), (0.1, 1e3)),
+    "ec": ((1.0, 0.1, 1e3, 0.1), (0.05, 1e4), (0.1, 1e3)),
+    "cc": ((0.5, 3.0, 5e3, 1.0), (0.5, 1e4), (0.01, 1e3)),
+    "cl": ((0.5, 3.0, 5e3, 1.0), (0.5, 1e4), (0.01, 1e3)),
 }
-_BEAMFORM_PRESETS = {
-    "sr": (5.0, 1e3),
-    "er": (0.05, 1e4),
-    "sc": (0.5, 1e3),
-    "ec": (0.05, 1e4),
-    "cc": (0.5, 1e4),
-    "cl": (0.5, 1e4),
-}
-_DECONV_PRESETS = {
-    "sr": (3.0, 1e3),
-    "er": (0.05, 1e3),
-    "sc": (0.1, 1e3),
-    "ec": (0.1, 1e3),
-    "cc": (0.01, 1e3),
-    "cl": (0.01, 1e3),
-}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_solver_config(mode, preset, **overrides):
     """SolverConfig for a named experiment preset and reconstruction mode.
 
     Sequential mode carries its deconvolution-stage hyperparameters in
-    ``stage2``. Keyword overrides are applied last.
+    ``stage2``. Keyword overrides are solver-block keys applied last.
     """
+    return solver_config({**overrides, "mode": mode, "preset": preset})
+
+
+def _preset_block(mode, preset):
+    """Solver-block keys of a named preset; ``mode_fields`` adds the rest."""
     if preset not in PRESET_NAMES:
         raise ConfigError("unknown preset %r (choose from %s)" % (preset, PRESET_NAMES))
+    joint, beamform, deconv = _PRESETS[preset]
     if mode == "joint":
-        gd, gb, beta, mu = _JOINT_PRESETS[preset]
-        cfg = SolverConfig(gamma_d=gd, gamma_b=gb, beta=beta, mu=mu, mode="joint")
-    elif mode == "beamform_only":
-        mu, beta = _BEAMFORM_PRESETS[preset]
-        cfg = SolverConfig(
-            gamma_d=0.0, gamma_b=1.0, beta=beta, mu=mu, mode="beamform_only"
-        )
-    elif mode == "deconv_only":
-        mu, beta = _DECONV_PRESETS[preset]
-        cfg = SolverConfig(
-            gamma_d=1.0, gamma_b=0.0, beta=beta, mu=mu, mode="deconv_only"
-        )
-    elif mode == "sequential":
-        mu1, beta1 = _BEAMFORM_PRESETS[preset]
-        mu2, beta2 = _DECONV_PRESETS[preset]
-        stage2 = SolverConfig(
-            gamma_d=1.0, gamma_b=0.0, beta=beta2, mu=mu2, mode="deconv_only"
-        )
-        cfg = SolverConfig(
-            gamma_d=0.0,
-            gamma_b=1.0,
-            beta=beta1,
-            mu=mu1,
-            mode="sequential",
-            stage2=stage2,
-        )
-    else:
-        raise ConfigError("unknown mode %r" % mode)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+        return dict(zip(("gamma_d", "gamma_b", "beta", "mu"), joint))
+    block = dict(zip(("mu", "beta"), deconv if mode == "deconv_only" else beamform))
+    if mode == "sequential":
+        stage2 = dict(zip(("mu", "beta"), deconv), mode="deconv_only")
+        block.update(gamma_d=0.0, gamma_b=1.0, stage2=stage2)
+    return block
+
+
+def mode_fields(mode, values):
+    """SolverConfig fields that put keyword ``values`` into ``mode``.
+
+    A single-term mode keeps one data term: beamform_only sets gamma_d = 0
+    and keeps gamma_b, or 1.0 where gamma_b is unset or zero; deconv_only is
+    the mirror image. Other modes change only ``mode``.
+    """
+    if mode == "beamform_only":
+        return {"mode": mode, "gamma_d": 0.0, "gamma_b": values.get("gamma_b") or 1.0}
+    if mode == "deconv_only":
+        return {"mode": mode, "gamma_b": 0.0, "gamma_d": values.get("gamma_d") or 1.0}
+    return {"mode": mode}
 
 
 @dataclass
@@ -142,104 +123,136 @@ class RunConfig:
         return replace(self.probe, t0_offset=t0), num
 
 
-def _require(d, key, types, where):
-    if key not in d:
-        raise ConfigError("missing key %r in %s" % (key, where))
-    val = d[key]
-    if not isinstance(val, types):
+# Keys of the grid block (its spacing comes from the probe) and of the
+# blocks a RunConfig keeps as plain dicts.
+_GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
+_SHAPE_KEYS = dict.fromkeys(("f0", "fs", "axial_fbw", "lateral_sigma"), "float")
+_PSF_KEYS = {"type": "str", "path": "str", **_SHAPE_KEYS}
+_METRICS_KEYS = dict(kind="str", roi_ratio="float", background_inner_ratio="float")
+_PHANTOM_KEYS = {
+    "type": "str",
+    "points": "list",
+    "amplitude": "float",
+    "center": "list",
+    "radius": "float",
+    "snr_db": "float | None",
+    "seed": "int",
+    "blur": lambda b, p: None if b is None else _read(b, _SHAPE_KEYS, p),
+}
+_PHANTOM_REQUIRED = {"point": ("points",), "cyst": ("center", "radius")}
+
+
+def _value(val, kind, key, where):
+    """A JSON value checked against a type annotation such as "float | None"."""
+    if val is None and kind.endswith(" | None"):
+        return None
+    kind = kind.replace(" | None", "")
+    types = (int, float) if kind == "float" else getattr(builtins, kind)
+    # bool is an int subclass, yet true/false is no number and 1 no bool
+    if isinstance(val, bool) != (kind == "bool") or not isinstance(val, types):
         raise ConfigError(
-            "key %r in %s has type %s" % (key, where, type(val).__name__)
+            "key %r in %s has type %s, expected %s"
+            % (key, where, type(val).__name__, kind)
         )
-    return val
+    return float(val) if kind == "float" else val
 
 
-def _build_probe(d):
-    fields = {}
-    for key in ("num_elements",):
-        fields[key] = int(_require(d, key, (int,), "probe"))
-    for key in ("pitch", "sound_speed", "sampling_freq", "center_freq"):
-        fields[key] = float(_require(d, key, (int, float), "probe"))
-    fields["t0_offset"] = float(d.get("t0_offset", 0.0))
+def _read(block, types, path, required=()):
+    """Checked values of a config block: ``types`` maps every allowed key to a
+    JSON type name or to a reader ``f(value, path)`` of a nested block."""
+    where = path or "run config"
+    if not isinstance(block, dict):
+        raise ConfigError("%s must be an object" % where)
+    for key in required:
+        if key not in block:
+            raise ConfigError("missing key %r in %s" % (key, where))
+    values = {}
+    for key, val in block.items():
+        if key not in types:
+            raise ConfigError("unknown key %r in %s" % (key, where))
+        kind = types[key]
+        if callable(kind):
+            values[key] = kind(val, "%s.%s" % (path, key) if path else key)
+        else:
+            values[key] = _value(val, kind, key, where)
+    return values
+
+
+def _construct(cls, values, where):
     try:
-        return ProbeGeometry(**fields)
+        return cls(**values)
     except ValueError as err:
-        raise ConfigError("probe: %s" % err)
+        raise ConfigError("%s: %s" % (where, err))
 
 
-def _build_grid(d, probe):
-    nz = int(_require(d, "nz", (int,), "grid"))
-    nx = int(d.get("nx", probe.num_elements))
-    z_origin = float(d.get("z_origin", 0.0))
-    try:
-        return ImagingGrid.for_probe(probe, nz=nz, nx=nx, z_origin=z_origin)
-    except ValueError as err:
-        raise ConfigError("grid: %s" % err)
+def _build(cls, block, path):
+    """A dataclass from a block keyed by its fields, typed by their annotations."""
+    types = {f.name: f.type for f in fields(cls)}
+    required = [
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    ]
+    return _construct(cls, _read(block, types, path, required), path)
 
 
-def _build_apodization(d):
-    try:
-        return ApodizationSpec(
-            window=d.get("window", "hanning"),
-            f_number=float(d.get("f_number", 0.5)),
-            taper=float(d.get("taper", 0.25)),
-            min_half_aperture=float(d.get("min_half_aperture", 0.0)),
-        )
-    except ValueError as err:
-        raise ConfigError("apodization: %s" % err)
+def solver_config(block, path="solver"):
+    """SolverConfig from a solver block.
+
+    Keys are SolverConfig's fields, ``inner`` and ``stage2`` being nested
+    blocks, plus ``preset``: a named experiment preset whose values the
+    block's own keys override. ``mode_fields`` completes single-term modes.
+    """
+    if isinstance(block, dict) and "preset" in block:
+        block = {**_preset_block(block.get("mode", "joint"), block["preset"]), **block}
+    types = {f.name: f.type for f in fields(SolverConfig)}
+    types.update(
+        preset="str",
+        inner=lambda b, p: _build(InnerSettings, b, p),
+        stage2=solver_config,
+    )
+    values = _read(block, types, path)
+    values.pop("preset", None)
+    values.update(mode_fields(values.get("mode", "joint"), values))
+    return _construct(SolverConfig, values, path)
 
 
-def _build_solver(d):
-    mode = d.get("mode", "joint")
-    preset = d.get("preset")
-    keys = ("gamma_d", "gamma_b", "mu", "beta", "epsilon", "max_iter", "normalize")
-    overrides = {k: d[k] for k in keys if k in d}
-    if "inner" in d:
-        overrides["inner"] = InnerSettings(**d["inner"])
-    try:
-        if preset is not None:
-            return preset_solver_config(mode, preset, **overrides)
-        return SolverConfig(mode=mode, **overrides)
-    except (ValueError, TypeError) as err:
-        raise ConfigError("solver: %s" % err)
+def _read_phantom(block, path):
+    if block is None:
+        return None
+    kind = block.get("type") if isinstance(block, dict) else None
+    return _read(block, _PHANTOM_KEYS, path, _PHANTOM_REQUIRED.get(kind, ()))
 
 
 def run_config_from_dict(doc):
-    """Validate a parsed JSON document and build a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    probe = _build_probe(_require(doc, "probe", (dict,), "run config"))
-    grid = _build_grid(_require(doc, "grid", (dict,), "run config"), probe)
-    tx_angles = doc.get("tx_angles", [0.0])
-    if not isinstance(tx_angles, list) or not tx_angles:
-        raise ConfigError("tx_angles must be a nonempty list of radians")
-    num_samples = doc.get("num_samples")
-    if num_samples is not None:
-        num_samples = int(num_samples)
-    apod = _build_apodization(doc.get("apodization", {}))
-    solver = _build_solver(doc.get("solver", {}))
-    phantom = doc.get("phantom")
-    if phantom is not None and not isinstance(phantom, dict):
-        raise ConfigError("phantom must be an object")
-    psf = doc.get("psf", {"type": "model"})
-    if not isinstance(psf, dict) or "type" not in psf:
-        raise ConfigError("psf must be an object with a 'type' key")
-    if psf["type"] == "file":
-        path = psf.get("path")
-        if not path or not os.path.exists(path):
-            raise ConfigError("psf file %r does not exist" % path)
-    metrics = doc.get("metrics", {})
-    return RunConfig(
-        probe=probe,
-        grid=grid,
-        tx_angles=[float(a) for a in tx_angles],
-        num_samples=num_samples,
-        apodization=apod,
-        phantom=copy.deepcopy(phantom),
-        psf=copy.deepcopy(psf),
-        solver=solver,
-        metrics=copy.deepcopy(metrics),
-        dynamic_range=float(doc.get("dynamic_range", 60.0)),
+    """Validate a parsed JSON document and build a RunConfig.
+
+    Every block is checked key by key: an unknown key, a missing required
+    key or a value of the wrong JSON type raises ConfigError naming it.
+    """
+    types = {f.name: f.type for f in fields(RunConfig)}
+    types.update(
+        probe=lambda b, p: _build(ProbeGeometry, b, p),
+        grid=lambda b, p: _read(b, _GRID_KEYS, p, ["nz"]),
+        apodization=lambda b, p: _build(ApodizationSpec, b, p),
+        phantom=_read_phantom,
+        psf=lambda b, p: _read(b, _PSF_KEYS, p, ["type"]),
+        solver=solver_config,
+        metrics=lambda b, p: _read(b, _METRICS_KEYS, p),
     )
+    values = _read(copy.deepcopy(doc), types, "", ["probe", "grid"])
+    values["grid"] = _construct(
+        ImagingGrid.for_probe, {"probe": values["probe"], **values["grid"]}, "grid"
+    )
+    angles = values.get("tx_angles", [0.0])
+    if not angles:
+        raise ConfigError("tx_angles must be a nonempty list of radians")
+    values["tx_angles"] = [
+        _value(angle, "float", "tx_angles", "run config") for angle in angles
+    ]
+    psf = values.get("psf", {})
+    if psf.get("type") == "file" and not os.path.exists(psf.get("path") or ""):
+        raise ConfigError("psf file %r does not exist" % psf.get("path"))
+    return RunConfig(**values)
 
 
 # Bundled desk-scale setups: a 128-element 5.2 MHz linear array (a common
@@ -319,11 +332,17 @@ _BUILTIN_CONFIGS = {
     },
 }
 
-# Sequential-mode stage hyperparameters matched to the desk configs above:
-# stage 1 solves the channel-data problem alone, stage 2 deblurs its output.
+# Sequential-mode solver blocks matched to the desk configs above: stage 1
+# solves the channel-data problem alone, stage 2 deblurs its output.
 DESK_SEQUENTIAL = {
-    "desk_point": {"stage1": (1.0, 12.0, 0.06), "stage2": (1.0, 24.0, 0.1)},
-    "desk_cyst": {"stage1": (1.0, 24.0, 0.3), "stage2": (1.0, 24.0, 0.3)},
+    "desk_point": {
+        "mode": "sequential", "gamma_d": 0.0, "gamma_b": 1.0, "beta": 12.0, "mu": 0.06,
+        "stage2": {"mode": "deconv_only", "gamma_d": 1.0, "beta": 24.0, "mu": 0.1},
+    },
+    "desk_cyst": {
+        "mode": "sequential", "gamma_d": 0.0, "gamma_b": 1.0, "beta": 24.0, "mu": 0.3,
+        "stage2": {"mode": "deconv_only", "gamma_d": 1.0, "beta": 24.0, "mu": 0.3},
+    },
 }
 
 
@@ -331,16 +350,7 @@ def desk_sequential_config(name):
     """Sequential-mode SolverConfig matched to a bundled desk config."""
     if name not in DESK_SEQUENTIAL:
         raise ConfigError("no sequential preset for %r" % name)
-    g1, b1, m1 = DESK_SEQUENTIAL[name]["stage1"]
-    g2, b2, m2 = DESK_SEQUENTIAL[name]["stage2"]
-    return SolverConfig(
-        gamma_d=0.0,
-        gamma_b=g1,
-        beta=b1,
-        mu=m1,
-        mode="sequential",
-        stage2=SolverConfig(gamma_d=g2, gamma_b=0.0, beta=b2, mu=m2, mode="deconv_only"),
-    )
+    return solver_config(DESK_SEQUENTIAL[name])
 
 
 def builtin_config_names():

@@ -29,6 +29,7 @@ __all__ = [
     "SparseSystemMatrix",
     "propagation_delay",
     "apodization_weight",
+    "element_geometry",
     "build_system_matrix",
     "apply_forward",
     "apply_adjoint",
@@ -116,6 +117,21 @@ def apodization_weight(pixel, element_x, spec):
     if w.ndim == 0:
         return float(w)
     return w
+
+
+def element_geometry(probe, grid, tx, apod):
+    """Round-trip delay and receive apodization of every pixel, per element.
+
+    Yields one ``(tau, weight)`` pair of pixel arrays per receive element, in
+    element order, with pixels in system-matrix column order. This is the
+    geometry both the system matrix and delay-and-sum are built from.
+    """
+    pixel = (np.tile(grid.z_positions, grid.nx), np.repeat(grid.x_positions, grid.nz))
+    for elem_x in probe.element_positions:
+        yield (
+            propagation_delay(pixel, elem_x, tx, probe.sound_speed),
+            apodization_weight(pixel, elem_x, apod),
+        )
 
 
 @dataclass
@@ -212,23 +228,14 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
 
     fs = probe.sampling_freq
     t0 = probe.t0_offset
-    c = probe.sound_speed
     gate = 1.0 / fs
     m_count = num_samples
-
-    # flat pixel coords, axial-major within lateral (Fortran order)
-    z_flat = np.tile(grid.z_positions, grid.nx)
-    x_flat = np.repeat(grid.x_positions, grid.nz)
-    cos_a = np.cos(tx.angle)
-    sin_a = np.sin(tx.angle)
-    tau_t = (z_flat * cos_a + x_flat * sin_a) / c
     pix_idx = np.arange(grid.num_pixels, dtype=np.int64)
 
     rows_out = []
     cols_out = []
     weights_out = []
-    for n, elem_x in enumerate(probe.element_positions):
-        tau = tau_t + np.sqrt(z_flat**2 + (x_flat - elem_x) ** 2) / c
+    for n, (tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
         base = np.floor((tau - t0) * fs).astype(np.int64)
         samp_list = []
         col_list = []
@@ -257,8 +264,7 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
         # at full weight instead of annihilating the only datum
         raw = np.where((counts[samp] == 1) | (t_max[samp] == 0.0), 1.0, raw)
 
-        apw = apodization_weight((z_flat[col], x_flat[col]), elem_x, apod)
-        w = raw * apw
+        w = raw * apw[col]
         keep = w > 0.0
         rows_out.append(n * m_count + samp[keep])
         cols_out.append(col[keep])
@@ -291,24 +297,17 @@ def suggest_time_window(probe, grid, tx, guard=2):
     the grid fall inside the acquisition window with ``guard`` spare samples
     on each side.
     """
-    z = grid.z_positions
     x = grid.x_positions
-    zz = np.repeat(z, grid.nx)
-    xx = np.tile(x, grid.nz)
-    taus = []
-    for elem_x in (probe.element_positions[0], probe.element_positions[-1]):
-        taus.append(propagation_delay((zz, xx), elem_x, tx, probe.sound_speed))
-    for elem_x in probe.element_positions:
-        taus.append(
-            propagation_delay(
-                (np.array([z[0], z[-1]]), np.array([0.0, 0.0])),
-                elem_x,
-                tx,
-                probe.sound_speed,
-            )
-        )
-    lo = min(float(np.min(t)) for t in taus)
-    hi = max(float(np.max(t)) for t in taus)
+    elems = probe.element_positions
+    # the receive leg is shortest at the element nearest the pixel and
+    # longest at an end element, so three delays per pixel bound them all
+    nearest = elems[np.abs(x[:, None] - elems).argmin(axis=1)]
+    taus = [
+        propagation_delay((grid.z_positions[:, None], x), elem_x, tx, probe.sound_speed)
+        for elem_x in (nearest, elems[0], elems[-1])
+    ]
+    lo = min(float(t.min()) for t in taus)
+    hi = max(float(t.max()) for t in taus)
     fs = probe.sampling_freq
     t0 = np.floor(lo * fs - guard) / fs
     if t0 < 0:

@@ -174,7 +174,8 @@ def resolve_psf(cfg, model=None, reader=None):
 def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
     """Solve with the config's mode, deriving missing observations."""
     scfg = cfg.solver
-    if y_das is None and (scfg.gamma_d > 0 or scfg.mode == "sequential"):
+    # sequential mode deblurs its own first stage, never a DAS image
+    if y_das is None and scfg.gamma_d > 0 and scfg.mode != "sequential":
         y_das = reference_das(model, ch)
     if psf is None and (scfg.gamma_d > 0 or scfg.mode == "sequential"):
         psf = resolve_psf(cfg, model=model)

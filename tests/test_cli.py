@@ -232,3 +232,48 @@ class TestCliErrors:
             assert cfg.grid.num_pixels > 0
             doc = get_builtin_config(name)
             assert doc["solver"]["mode"] == "joint"
+
+
+class TestSequentialComputesNoDas:
+    @staticmethod
+    def _no_das(monkeypatch):
+        from pwrecon import pipeline
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sequential mode never reads a DAS image")
+
+        monkeypatch.setattr(pipeline, "das_beamform", fail)
+
+    def test_run_reconstruction(self, small_config, monkeypatch):
+        from pwrecon import pipeline
+        from pwrecon.config import load_run_config, solver_config
+
+        cfg = load_run_config(str(small_config))
+        cfg.solver = solver_config(
+            {"mode": "sequential", "gamma_d": 0.0, "gamma_b": 1.0, "mu": 0.1,
+             "beta": 12.0, "max_iter": 10, "stage2": {"mode": "deconv_only"}}
+        )
+        model = pipeline.build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        self._no_das(monkeypatch)
+        report = pipeline.run_reconstruction(cfg, model, ch)
+        assert len(report.stages) == 2
+
+    def test_cli_solve(self, small_config, tmp_path, monkeypatch):
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
+        self._no_das(monkeypatch)
+        assert main([
+            "solve", "--config", str(small_config), "--channel", str(ch),
+            "--mode", "sequential", "--out", str(tmp_path / "seq.usjd"),
+        ]) == 0
+
+    def test_cli_still_reads_a_given_das_file(self, small_config, tmp_path):
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
+        bad = tmp_path / "bad.usjd"
+        bad.write_bytes(b"JUNKJUNKJUNK")
+        assert main([
+            "solve", "--config", str(small_config), "--channel", str(ch),
+            "--das", str(bad), "--mode", "sequential", "--out", str(tmp_path / "o.usjd"),
+        ]) == 4

@@ -3,13 +3,18 @@ apodization closed forms, adjoint consistency, caching, time windows."""
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwrecon import (
     ApodizationSpec,
+    ImagingGrid,
     PlaneWaveTx,
+    ProbeGeometry,
     apodization_weight,
     apply_adjoint,
     apply_forward,
@@ -20,7 +25,7 @@ from pwrecon import (
     suggest_time_window,
 )
 from pwrecon.config import get_builtin_config, run_config_from_dict
-from pwrecon.forward_model import cached_system_matrix
+from pwrecon.forward_model import WINDOWS, cached_system_matrix, element_geometry
 from pwrecon.pipeline import build_model
 
 
@@ -328,3 +333,109 @@ class TestSteeredTimeWindow:
             model = build_model(cfg, angle_index=k)
             assert model.num_time_samples == num
             assert np.all(np.diff(model.matrix.tocsc().indptr) > 0)
+
+    def test_window_holds_every_pixel_element_delay(self):
+        doc = get_builtin_config("desk_point")
+        doc["tx_angles"] = [0.0, -0.3, 0.3]
+        cfg = run_config_from_dict(doc)
+        probe, num = cfg.resolve_time_window()
+        z = np.repeat(cfg.grid.z_positions, cfg.grid.nx)
+        x = np.tile(cfg.grid.x_positions, cfg.grid.nz)
+        elems = probe.element_positions
+        t_end = probe.t0_offset + (num - 1) / probe.sampling_freq
+        for k in range(len(cfg.tx_angles)):
+            tau = propagation_delay(
+                (z[:, None], x[:, None]), elems[None, :], cfg.tx(k), probe.sound_speed
+            )
+            assert tau.min() >= probe.t0_offset, cfg.tx_angles[k]
+            assert tau.max() <= t_end, cfg.tx_angles[k]
+
+
+class TestElementGeometry:
+    def test_kernel_matches_closed_forms_in_column_order(self, tiny_instance):
+        inst = tiny_instance
+        probe, grid, tx = inst["probe"], inst["grid"], PlaneWaveTx(angle=0.2)
+        zz, xx = np.meshgrid(grid.z_positions, grid.x_positions, indexing="ij")
+        pixel = (zz.reshape(-1, order="F"), xx.reshape(-1, order="F"))
+        pairs = list(element_geometry(probe, grid, tx, inst["apod"]))
+        assert len(pairs) == probe.num_elements
+        for elem_x, (tau, weight) in zip(probe.element_positions, pairs):
+            np.testing.assert_array_equal(
+                tau, propagation_delay(pixel, elem_x, tx, probe.sound_speed)
+            )
+            np.testing.assert_array_equal(
+                weight, apodization_weight(pixel, elem_x, inst["apod"])
+            )
+
+
+def _small_geometry(num_elements, nx, nz, z_origin, angle, apod):
+    probe = ProbeGeometry(
+        num_elements=num_elements,
+        pitch=0.3e-3,
+        sound_speed=1540.0,
+        sampling_freq=20.832e6,
+        center_freq=5.208e6,
+    )
+    grid = ImagingGrid.for_probe(probe, nz=nz, nx=nx, z_origin=z_origin)
+    tx = PlaneWaveTx(angle=angle)
+    t0, num = suggest_time_window(probe, grid, tx)
+    probe = replace(probe, t0_offset=t0)
+    return probe, grid, tx, num, build_system_matrix(probe, grid, tx, num, apod)
+
+
+_geometries = st.builds(
+    _small_geometry,
+    num_elements=st.integers(2, 12),
+    nx=st.integers(1, 14),
+    nz=st.integers(1, 12),
+    z_origin=st.floats(0.0, 6.0e-3),
+    angle=st.floats(-0.4, 0.4),
+    apod=st.builds(
+        ApodizationSpec,
+        window=st.sampled_from(WINDOWS),
+        f_number=st.floats(0.25, 2.0),
+        taper=st.floats(0.0, 1.0),
+        min_half_aperture=st.sampled_from([0.0, 3e-4]),
+    ),
+)
+
+
+class TestGeometryProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=_geometries)
+    def test_window_covers_every_delay(self, geometry):
+        probe, grid, tx, num, _ = geometry
+        z = np.tile(grid.z_positions, grid.nx)
+        x = np.repeat(grid.x_positions, grid.nz)
+        tau = propagation_delay(
+            (z[:, None], x[:, None]), probe.element_positions, tx, probe.sound_speed
+        )
+        # the window never opens before the transmit, so shallow pixels that a
+        # steered wave reaches at negative times stay outside it
+        assert max(tau.min(), 0.0) >= probe.t0_offset
+        assert tau.max() <= probe.t0_offset + (num - 1) / probe.sampling_freq
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=_geometries, seed=st.integers(0, 2**16))
+    def test_adjoint_identity(self, geometry, seed):
+        model = geometry[-1]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(model.num_cols)
+        y = rng.standard_normal(model.num_rows)
+        lhs = model.apply(x) @ y
+        rhs = x @ model.apply_adjoint(y)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometry=_geometries)
+    def test_stored_entries_lie_within_one_sample(self, geometry):
+        probe, grid, tx, num, model = geometry
+        coo = model.matrix.tocoo()
+        element, sample = np.divmod(coo.row, num)
+        z = np.tile(grid.z_positions, grid.nx)[coo.col]
+        x = np.repeat(grid.x_positions, grid.nz)[coo.col]
+        tau = propagation_delay(
+            (z, x), probe.element_positions[element], tx, probe.sound_speed
+        )
+        t = sample / probe.sampling_freq + probe.t0_offset
+        assert np.all(np.abs(t - tau) <= 1.0 / probe.sampling_freq)
