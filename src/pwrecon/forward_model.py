@@ -232,10 +232,13 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     m_count = num_samples
     pix_idx = np.arange(grid.num_pixels, dtype=np.int64)
 
-    rows_out = []
-    cols_out = []
+    # element n owns rows n*M .. (n+1)*M - 1, so each element's entries,
+    # ordered by (sample, column), are one contiguous stretch of the CSR
+    # arrays: only per-row counts, int32 columns and weights are kept
+    counts_out = []
+    indices_out = []
     weights_out = []
-    for n, (tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
+    for tau, apw in element_geometry(probe, grid, tx, apod):
         base = np.floor((tau - t0) * fs).astype(np.int64)
         samp_list = []
         col_list = []
@@ -252,8 +255,6 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
         samp = np.concatenate(samp_list)
         col = np.concatenate(col_list)
         dt = np.concatenate(dt_list)
-        if samp.size == 0:
-            continue
 
         # per-sample max mismatch and contributor count (apodization-independent)
         t_max = np.zeros(m_count)
@@ -266,19 +267,22 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
 
         w = raw * apw[col]
         keep = w > 0.0
-        rows_out.append(n * m_count + samp[keep])
-        cols_out.append(col[keep])
-        weights_out.append(w[keep])
+        samp, col, w = samp[keep], col[keep], w[keep]
+        order = np.lexsort((col, samp))
+        counts_out.append(np.bincount(samp, minlength=m_count))
+        indices_out.append(col[order].astype(np.int32))
+        weights_out.append(w[order])
 
     shape = (m_count * probe.num_elements, grid.num_pixels)
-    if rows_out:
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-        weights = np.concatenate(weights_out)
-        matrix = sp.csr_matrix((weights, (rows, cols)), shape=shape)
-    else:
-        matrix = sp.csr_matrix(shape)
-    matrix.sort_indices()
+    nnz = sum(block.size for block in indices_out)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32 if nnz < 2**31 else np.int64)
+    np.cumsum(np.concatenate(counts_out), out=indptr[1:])
+    # drop each block list once joined, so at most one copy of either exists
+    indices = np.concatenate(indices_out)
+    del indices_out
+    data = np.concatenate(weights_out)
+    del weights_out
+    matrix = sp.csr_matrix((data, indices, indptr), shape=shape)
     return SparseSystemMatrix(
         matrix=matrix,
         probe=probe,

@@ -48,6 +48,16 @@ def build_model(cfg, angle_index=0, cache_dir=None):
     )
 
 
+def _parametric_psf(cfg, spec, lateral_sigma):
+    """Parametric kernel from a config block; unset keys from the probe."""
+    return make_parametric_psf(
+        f0=spec.get("f0", cfg.probe.center_freq),
+        fs=spec.get("fs", cfg.probe.sampling_freq),
+        axial_fbw=spec.get("axial_fbw", 0.67),
+        lateral_sigma=spec.get("lateral_sigma", lateral_sigma),
+    )
+
+
 def _blur_kernel(cfg):
     """Scatterer-sequence blur declared by the phantom block, if any.
 
@@ -59,12 +69,7 @@ def _blur_kernel(cfg):
     spec = (cfg.phantom or {}).get("blur")
     if not spec:
         return None
-    return make_parametric_psf(
-        f0=spec.get("f0", cfg.probe.center_freq),
-        fs=spec.get("fs", cfg.probe.sampling_freq),
-        axial_fbw=spec.get("axial_fbw", 0.67),
-        lateral_sigma=spec.get("lateral_sigma", 0.5),
-    )
+    return _parametric_psf(cfg, spec, lateral_sigma=0.5)
 
 
 def make_phantom(cfg):
@@ -155,12 +160,7 @@ def resolve_psf(cfg, model=None, reader=None):
             raise ConfigError("psf type 'model' needs a system matrix")
         return psf_from_model(model, pre_blur=_blur_kernel(cfg))
     if kind == "parametric":
-        return make_parametric_psf(
-            f0=spec.get("f0", cfg.probe.center_freq),
-            fs=spec.get("fs", cfg.probe.sampling_freq),
-            axial_fbw=spec.get("axial_fbw", 0.67),
-            lateral_sigma=spec.get("lateral_sigma", 1.0),
-        )
+        return _parametric_psf(cfg, spec, lateral_sigma=1.0)
     if kind == "file":
         if reader is None:
             from .io import read_container as reader

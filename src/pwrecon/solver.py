@@ -124,6 +124,8 @@ class SolverState:
     iter: int = 0
     objective_history: list = field(default_factory=list)
     primal_residuals: list = field(default_factory=list)  # (|u-z|, |u-w|)
+    inner_iterations: list = field(default_factory=list)  # CR steps per iteration
+    inner_capped: int = 0  # CR solves stopped by inner.max_iter above tolerance
 
 
 @dataclass
@@ -154,6 +156,8 @@ class SolveReport:
             },
             "objective_history": list(self.state.objective_history),
             "primal_residuals": [list(r) for r in self.state.primal_residuals],
+            "inner_iterations": list(self.state.inner_iterations),
+            "inner_capped": self.state.inner_capped,
             "scale": self.scale,
             "timing": {"wall_time_s": self.wall_time},
         }
@@ -179,6 +183,11 @@ def objective(x, y_das, psf, model, y_ch, cfg):
     return total
 
 
+def _inner_threshold(tol, b):
+    """Residual norm at which the inner solve of A x = b counts as converged."""
+    return tol * (1.0 + float(np.linalg.norm(b)))
+
+
 def _conjugate_residual(apply_a, b, x0, tol, max_iter):
     """Minimize ||b - A x|| over growing Krylov spaces (A symmetric PD).
 
@@ -188,7 +197,7 @@ def _conjugate_residual(apply_a, b, x0, tol, max_iter):
     x = x0.copy()
     r = b - apply_a(x)
     norms = [float(np.linalg.norm(r))]
-    threshold = tol * (1.0 + float(np.linalg.norm(b)))
+    threshold = _inner_threshold(tol, b)
     if norms[-1] <= threshold:
         return x, norms
     p = r.copy()
@@ -217,7 +226,14 @@ def _conjugate_residual(apply_a, b, x0, tol, max_iter):
     return x, norms
 
 
-def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, z0=None):
+def _normal_rhs(back_projection, u, lam2, beta):
+    """Right-hand side gamma_b Phi^T y_ch + beta u + lam2 of the z update."""
+    return back_projection + (beta * u + lam2).reshape(-1, order="F")
+
+
+def beamform_update(
+    model, y_ch, u, lam2, gamma_b, beta, inner, z0=None, *, back_projection=None
+):
     """Channel-data subproblem: approximately minimize over z
 
         gamma_b/2 ||y_ch - Phi z||^2 + beta/2 ||u - z + lam2/beta||^2.
@@ -225,6 +241,8 @@ def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, z0=None):
     Solved on the normal equations (gamma_b Phi^T Phi + beta I) z = rhs to
     the inner gradient tolerance, warm-started from ``z0``. With
     gamma_b = 0 the exact proximal point u + lam2/beta is returned.
+    ``back_projection`` is gamma_b Phi^T y_ch when the caller already holds
+    it; it does not change across outer iterations.
 
     Returns (z, gradient_norms).
     """
@@ -233,8 +251,10 @@ def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, z0=None):
     if gamma_b == 0.0:
         return u + lam2 / beta, [0.0]
     shape = u.shape
-    y_vec = np.asarray(y_ch, dtype=np.float64).reshape(-1)
-    b = gamma_b * model.apply_adjoint(y_vec) + (beta * u + lam2).reshape(-1, order="F")
+    if back_projection is None:
+        y_vec = np.asarray(y_ch, dtype=np.float64).reshape(-1)
+        back_projection = gamma_b * model.apply_adjoint(y_vec)
+    b = _normal_rhs(back_projection, u, lam2, beta)
 
     def apply_a(v):
         return gamma_b * model.apply_adjoint(model.apply(v)) + beta * v
@@ -342,6 +362,8 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     obj0 = objective(state.u if track_u else state.z, yd, psf, model, yc, cfg)
     state.objective_history.append(obj0)
     guard = 1e6 * max(obj0, _TINY)
+    # gamma_b Phi^T y_ch is the same in every z update: one adjoint per solve
+    back_projection = cfg.gamma_b * model.apply_adjoint(yc) if needs_channel else None
 
     converged = False
     for it in range(1, cfg.max_iter + 1):
@@ -355,9 +377,16 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
             cfg.gamma_d,
             cfg.beta,
         )
-        state.z, _ = beamform_update(
-            model, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner, z0=state.z
+        state.z, norms = beamform_update(
+            model, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner,
+            z0=state.z, back_projection=back_projection,
         )
+        steps = len(norms) - 1
+        state.inner_iterations.append(steps)
+        if steps >= cfg.inner.max_iter:
+            # the cap stopped CR; it counts unless the last step met the tolerance
+            b = _normal_rhs(back_projection, state.u, state.lam2, cfg.beta)
+            state.inner_capped += int(norms[-1] > _inner_threshold(cfg.inner.tol, b))
         state.w = sparsity_update(state.u, state.lam1, cfg.mu, cfg.beta)
         multiplier_update(state, cfg.beta)
         state.iter = it

@@ -126,6 +126,22 @@ class TestBeamformUpdate:
         grad = gamma_b * model.apply_adjoint(model.apply(zv)) + beta * zv - b
         assert np.linalg.norm(grad) <= inner.tol * (1 + np.linalg.norm(b))
 
+    def test_given_back_projection_changes_nothing(self, tiny_instance, rng):
+        model = tiny_instance["model"]
+        grid = tiny_instance["grid"]
+        gamma_b, beta = 0.6, 2.0
+        y_ch = rng.standard_normal(model.num_rows)
+        u = rng.standard_normal(grid.shape)
+        lam2 = rng.standard_normal(grid.shape)
+        inner = InnerSettings(max_iter=30, tol=1e-10)
+        z, norms = beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner)
+        z_bp, norms_bp = beamform_update(
+            model, y_ch, u, lam2, gamma_b, beta, inner,
+            back_projection=gamma_b * model.apply_adjoint(y_ch),
+        )
+        assert np.array_equal(z, z_bp)
+        assert norms == norms_bp
+
 
 class TestSparsityUpdate:
     def test_zero_input(self):
@@ -376,6 +392,61 @@ class TestSolve:
         assert doc["iterations"] == report.iterations
         assert len(doc["objective_history"]) == report.iterations + 1
         assert "wall_time_s" in doc["timing"]
+
+
+class TestInnerOutcomes:
+    def _channel_solve(self, covered_instance, rng, inner):
+        model = covered_instance["model"]
+        y_ch = rng.standard_normal(model.num_rows)
+        cfg = SolverConfig(
+            gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, max_iter=6,
+            epsilon=1e-12, mode="beamform_only", inner=inner,
+        )
+        return solve(cfg, model=model, y_ch=y_ch)
+
+    def test_every_capped_inner_solve_is_counted(self, covered_instance, rng):
+        report = self._channel_solve(
+            covered_instance, rng, InnerSettings(max_iter=1, tol=1e-12)
+        )
+        assert report.iterations == 6
+        assert report.state.inner_iterations == [1] * 6
+        assert report.state.inner_capped == 6
+        doc = report.to_json_dict()
+        assert doc["inner_iterations"] == [1] * 6
+        assert doc["inner_capped"] == 6
+
+    def test_back_projection_computed_once_per_solve(
+        self, covered_instance, rng, monkeypatch
+    ):
+        from pwrecon.forward_model import SparseSystemMatrix
+
+        calls = []
+        adjoint = SparseSystemMatrix.apply_adjoint
+
+        def counted(self, y):
+            calls.append(1)
+            return adjoint(self, y)
+
+        monkeypatch.setattr(SparseSystemMatrix, "apply_adjoint", counted)
+        report = self._channel_solve(covered_instance, rng, InnerSettings())
+        assert report.state.inner_capped == 0
+        # an uncapped CR solve takes one adjoint for its start residual and
+        # one per step; Phi^T y is taken once for the whole solve
+        steps = report.state.inner_iterations
+        assert len(calls) == 1 + report.iterations + sum(steps)
+
+    def test_desk_point_has_no_capped_inner_solve(self):
+        from pwrecon import pipeline
+        from pwrecon.config import get_builtin_config, run_config_from_dict
+
+        cfg = run_config_from_dict(get_builtin_config("desk_point"))
+        model = pipeline.build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        report = pipeline.run_reconstruction(cfg, model, ch)
+        assert report.converged
+        assert len(report.state.inner_iterations) == report.iterations
+        assert report.state.inner_capped == 0
+        assert report.to_json_dict()["inner_capped"] == 0
 
 
 class TestConjugateResidual:
