@@ -20,7 +20,6 @@ from .beamform import (
     compound,
     das_beamform,
     envelope,
-    export_pgm,
     export_png,
     log_compress,
 )
@@ -29,8 +28,6 @@ from .forward_model import (
     ApodizationSpec,
     SparseSystemMatrix,
     apodization_weight,
-    apply_adjoint,
-    apply_forward,
     build_system_matrix,
     cached_system_matrix,
     load_matrix,
@@ -48,7 +45,6 @@ from .metrics import (
     fwhm,
     gcnr,
     histogram_match,
-    rect_mask,
 )
 from .psf import Psf, conv_apply, deconv_update, make_parametric_psf
 from .solver import (

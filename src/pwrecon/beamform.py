@@ -18,7 +18,6 @@ __all__ = [
     "compound",
     "envelope",
     "log_compress",
-    "export_pgm",
     "export_png",
 ]
 
@@ -134,24 +133,14 @@ def log_compress(env, dynamic_range=60.0):
     return BModeImage(data=db, grid=env.grid, dynamic_range=dynamic_range)
 
 
-def _to_gray(bmode):
+def export_png(bmode, path):
+    """Write an 8-bit grayscale PNG (stdlib zlib, no imaging dependency).
+
+    The dB range [-dynamic_range, 0] maps linearly to [0, 255].
+    """
     scale = 255.0 / bmode.dynamic_range
     gray = np.rint((bmode.data + bmode.dynamic_range) * scale)
-    return np.clip(gray, 0, 255).astype(np.uint8)
-
-
-def export_pgm(bmode, path):
-    """Write an 8-bit binary PGM with dB mapped linearly to [0, 255]."""
-    gray = _to_gray(bmode)
-    header = b"P5\n%d %d\n255\n" % (gray.shape[1], gray.shape[0])
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(gray.tobytes())
-
-
-def export_png(bmode, path):
-    """Write an 8-bit grayscale PNG (stdlib zlib, no imaging dependency)."""
-    gray = _to_gray(bmode)
+    gray = np.clip(gray, 0, 255).astype(np.uint8)
     nz, nx = gray.shape
     raw = b"".join(b"\x00" + gray[r].tobytes() for r in range(nz))
 

@@ -1,5 +1,10 @@
-"""Command-line front end: simulate, model build, das, compound, solve,
-metrics, export-png, compose through container files.
+"""Command-line front end: simulate, das, compound, solve, metrics,
+export-png and ingest-picmus, composing through container files.
+
+Each subcommand reads its input files, calls the library and writes its
+outputs. Which observations a reconstruction mode needs is decided by
+``pipeline.run_reconstruction``; contrast and resolution are scored by
+``pipeline.measure`` and its contrast helper.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 missing input file or
 missing optional dependency, 4 invalid data or configuration, 5 solver failure.
@@ -12,14 +17,12 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import pipeline
 from .beamform import BModeImage, RfImage, compound, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config, mode_fields, preset_solver_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
-from .metrics import disc_mask, gcnr, cnr
-from .solver import SolverError, solve
+from .metrics import disc_mask
+from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 3
@@ -39,13 +42,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output channel container")
     p.add_argument("--phantom-out", help="also write the ground-truth phantom")
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("model", help="system-matrix operations")
-    msub = p.add_subparsers(dest="model_command", required=True)
-    pb = msub.add_parser("build", help="assemble and store the system matrix")
-    pb.add_argument("--config", required=True)
-    pb.add_argument("--out", required=True, help="output matrix file")
-    pb.set_defaults(func=_cmd_model_build)
 
     p = sub.add_parser("das", help="delay-and-sum beamforming")
     p.add_argument("--config", required=True)
@@ -118,16 +114,6 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-def _cmd_model_build(args):
-    cfg = load_run_config(args.config)
-    probe, num_samples = cfg.resolve_time_window()
-    from .forward_model import build_system_matrix
-
-    model = build_system_matrix(probe, cfg.grid, cfg.tx(), num_samples, cfg.apodization)
-    write_container(model, args.out)
-    return EXIT_OK
-
-
 def _cmd_das(args):
     cfg = load_run_config(args.config)
     ch = read_container(args.channel)
@@ -159,21 +145,9 @@ def _cmd_solve(args):
     ch = read_container(args.channel) if args.channel else None
     y_das = read_container(args.das) if args.das else None
     psf = read_container(args.psf) if args.psf else None
-    model = None
-    if scfg.gamma_b > 0 or scfg.mode == "sequential":
-        if ch is None:
-            raise ConfigError("mode %r needs --channel data" % scfg.mode)
-        model = pipeline.build_model(cfg)
-    # sequential mode deblurs its own first stage, never a DAS image
-    if y_das is None and scfg.gamma_d > 0 and scfg.mode != "sequential":
-        if ch is None:
-            raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
-        if model is None:
-            model = pipeline.build_model(cfg)
-        y_das = pipeline.reference_das(model, ch)
-    if psf is None and (scfg.gamma_d > 0 or scfg.mode == "sequential"):
-        psf = pipeline.resolve_psf(cfg, model=model)
-    report = solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)
+    report = pipeline.run_reconstruction(
+        replace(cfg, solver=scfg), None, ch, psf=psf, y_das=y_das
+    )
     write_container(report.result, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -198,23 +172,14 @@ def _cmd_metrics(args):
     if not isinstance(image, RfImage):
         raise ContainerError("metrics expects an rfimage container")
     reference = read_container(args.reference) if args.reference else None
-    if args.roi and args.background:
+    if bool(args.roi) != bool(args.background):
+        missing = "--background" if args.roi else "--roi"
+        raise ConfigError("metrics needs both discs; %s is missing" % missing)
+    if args.roi:
         # explicit discs bypass phantom annotations
-        bmode = log_compress(envelope(image), cfg.dynamic_range)
-        (rc, rr) = _parse_disc(args.roi)
-        (bc, br) = _parse_disc(args.background)
-        roi = disc_mask(cfg.grid, rc, rr)
-        bg = disc_mask(cfg.grid, bc, br)
-        if reference is not None and not np.array_equal(roi, bg):
-            ref_bmode = log_compress(envelope(reference), cfg.dynamic_range)
-            from .metrics import histogram_match
-
-            bmode = histogram_match(bmode, ref_bmode, bg)
-        doc = {
-            "cnr_db": [cnr(bmode, (roi, bg))],
-            "gcnr": [gcnr(bmode, (roi, bg))],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        roi = disc_mask(cfg.grid, *_parse_disc(args.roi))
+        bg = disc_mask(cfg.grid, *_parse_disc(args.background))
+        report = pipeline._contrast(cfg, image, [(roi, bg)], reference)
     else:
         if not args.phantom:
             raise ConfigError("metrics needs --phantom or explicit --roi/--background")
@@ -222,8 +187,8 @@ def _cmd_metrics(args):
         if args.kind:
             cfg.metrics["kind"] = args.kind
         report = pipeline.measure(cfg, phantom, image, reference=reference)
-        print(report.to_text())
-        text = report.to_json()
+    print(report.to_text())
+    text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")

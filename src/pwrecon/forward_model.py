@@ -31,8 +31,6 @@ __all__ = [
     "apodization_weight",
     "element_geometry",
     "build_system_matrix",
-    "apply_forward",
-    "apply_adjoint",
     "suggest_time_window",
     "save_matrix",
     "load_matrix",
@@ -80,22 +78,17 @@ def propagation_delay(pixel, element_x, tx, sound_speed):
     return tau_t + tau_r
 
 
-def _window_value(offset, spec):
-    """Window amplitude at normalized aperture offset in [-1, 1]."""
-    d = np.abs(offset)
-    if spec.window == "rectangular":
-        return np.where(d <= 1.0, 1.0, 0.0)
+def _window_value(d, spec):
+    """Window amplitude at absolute normalized aperture offsets d in [0, 1]."""
     if spec.window == "hanning":
-        return np.where(d <= 1.0, np.cos(np.pi * d / 2.0) ** 2, 0.0)
-    # tukey: flat for d <= 1 - taper, cosine roll-off to zero at d = 1
-    a = spec.taper
-    if a == 0.0:
-        return np.where(d <= 1.0, 1.0, 0.0)
-    flat = d <= 1.0 - a
-    ramp = (d > 1.0 - a) & (d <= 1.0)
-    val = np.zeros_like(d, dtype=np.float64)
-    val = np.where(flat, 1.0, val)
-    val = np.where(ramp, 0.5 * (1.0 + np.cos(np.pi * (d - (1.0 - a)) / a)), val)
+        return np.cos(np.pi * d / 2.0) ** 2
+    val = np.ones_like(d)
+    if spec.window == "tukey":
+        # flat for d <= 1 - taper, cosine roll-off to zero at d = 1; a taper
+        # too small to move 1 - taper off 1 leaves no ramp to divide by
+        a = spec.taper
+        ramp = d > 1.0 - a
+        val[ramp] = 0.5 * (1.0 + np.cos(np.pi * (d[ramp] - (1.0 - a)) / a))
     return val
 
 
@@ -109,11 +102,12 @@ def apodization_weight(pixel, element_x, spec):
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     half = np.maximum(z / (2.0 * spec.f_number), spec.min_half_aperture)
-    valid = z > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        offset = np.where(valid, (x - element_x) / np.where(valid, half, 1.0), 2.0)
-    w = np.where(np.abs(offset) <= 1.0, _window_value(offset, spec), 0.0)
-    w = np.where(valid, w, 0.0)
+    # a denormal aperture overflows the offset to inf, which is outside it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = np.abs(x - element_x) / half
+    inside = (z > 0) & (d <= 1.0)
+    w = np.zeros(inside.shape)
+    w[inside] = _window_value(d[inside], spec)
     if w.ndim == 0:
         return float(w)
     return w
@@ -177,16 +171,6 @@ class SparseSystemMatrix:
                 % (self.num_rows, y.shape)
             )
         return self.matrix.T @ y
-
-
-def apply_forward(model, x):
-    """Noiseless channel vector produced by an image vector."""
-    return model.apply(x)
-
-
-def apply_adjoint(model, y):
-    """Adjoint of the forward map applied to a channel vector."""
-    return model.apply_adjoint(y)
 
 
 def matrix_geometry(probe, grid, tx, num_samples, apod):

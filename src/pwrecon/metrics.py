@@ -21,7 +21,6 @@ __all__ = [
     "UnresolvedPeakError",
     "disc_mask",
     "annulus_mask",
-    "rect_mask",
     "fwhm",
     "cnr",
     "gcnr",
@@ -45,13 +44,6 @@ def annulus_mask(grid, center, inner_radius, outer_radius):
     if not 0 <= inner_radius < outer_radius:
         raise ValueError("need 0 <= inner_radius < outer_radius")
     return disc_mask(grid, center, outer_radius) & ~disc_mask(grid, center, inner_radius)
-
-
-def rect_mask(grid, z_lo, z_hi, x_lo, x_hi):
-    """Boolean mask of the axis-aligned rectangle [z_lo, z_hi] x [x_lo, x_hi]."""
-    zin = (grid.z_positions >= z_lo) & (grid.z_positions <= z_hi)
-    xin = (grid.x_positions >= x_lo) & (grid.x_positions <= x_hi)
-    return zin[:, None] & xin[None, :]
 
 
 @dataclass
@@ -226,6 +218,8 @@ def gcnr(img, regions, nbins=256):
     p_bg, _ = np.histogram(bg, bins=edges)
     p_roi = p_roi / p_roi.sum()
     p_bg = p_bg / p_bg.sum()
+    if np.array_equal(p_roi, p_bg):
+        return 0.0  # equal histograms overlap fully, whatever their sum rounds to
     return float(1.0 - np.minimum(p_roi, p_bg).sum())
 
 

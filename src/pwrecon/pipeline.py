@@ -172,12 +172,27 @@ def resolve_psf(cfg, model=None, reader=None):
 
 
 def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
-    """Solve with the config's mode, deriving missing observations."""
+    """Solve with the config's mode, deriving missing observations.
+
+    The channel term (``gamma_b > 0``, and the first stage of sequential
+    mode) reads ``ch``; the blur term reads ``y_das``, computed by
+    delay-and-sum from ``ch`` when not given. With ``model`` None the
+    system matrix is built from ``cfg`` only if one of those needs it.
+    """
     scfg = cfg.solver
+    sequential = scfg.mode == "sequential"
+    needs_channel = scfg.gamma_b > 0 or sequential
     # sequential mode deblurs its own first stage, never a DAS image
-    if y_das is None and scfg.gamma_d > 0 and scfg.mode != "sequential":
+    needs_das = y_das is None and scfg.gamma_d > 0 and not sequential
+    if ch is None and needs_channel:
+        raise ConfigError("mode %r needs --channel data" % scfg.mode)
+    if ch is None and needs_das:
+        raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
+    if model is None and (needs_channel or needs_das):
+        model = build_model(cfg)
+    if needs_das:
         y_das = reference_das(model, ch)
-    if psf is None and (scfg.gamma_d > 0 or scfg.mode == "sequential"):
+    if psf is None and (scfg.gamma_d > 0 or sequential):
         psf = resolve_psf(cfg, model=model)
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das, x0=x0)
 
@@ -201,9 +216,9 @@ def measure(cfg, phantom, image, reference=None):
     kind = cfg.metrics.get("kind") or (
         "point" if _point_targets(phantom) else "cyst"
     )
-    report = MetricsReport()
-    env = envelope(image)
     if kind == "point":
+        report = MetricsReport()
+        env = envelope(image)
         for target in _point_targets(phantom):
             report.fwhm_axial_mm.append(fwhm(env, (target.iz, target.ix), "axial"))
             report.fwhm_lateral_mm.append(
@@ -212,20 +227,34 @@ def measure(cfg, phantom, image, reference=None):
         return report
     if kind != "cyst":
         raise ConfigError("unknown metrics kind %r" % kind)
-    bmode = log_compress(env, cfg.dynamic_range)
     roi_ratio = cfg.metrics.get("roi_ratio", 0.7)
     inner_ratio = cfg.metrics.get("background_inner_ratio", 1.2)
+    regions = []
     for cyst in _cyst_regions(phantom):
         center = (cyst.z, cyst.x)
         roi_r = roi_ratio * cyst.radius
         bg_inner = inner_ratio * cyst.radius
         bg_outer = float(np.sqrt(bg_inner**2 + roi_r**2))  # equal-area ring
-        roi = disc_mask(cfg.grid, center, roi_r)
-        bg = annulus_mask(cfg.grid, center, bg_inner, bg_outer)
-        measured = bmode
-        if reference is not None:
-            ref_bmode = log_compress(envelope(reference), cfg.dynamic_range)
-            measured = histogram_match(bmode, ref_bmode, bg)
+        regions.append((
+            disc_mask(cfg.grid, center, roi_r),
+            annulus_mask(cfg.grid, center, bg_inner, bg_outer),
+        ))
+    return _contrast(cfg, image, regions, reference)
+
+
+def _contrast(cfg, image, regions, reference):
+    """MetricsReport of CNR and gCNR for each (roi, background) mask pair.
+
+    Both are measured on the log-compressed image, histogram-matched on the
+    pair's background to the log-compressed reference when one is given.
+    """
+    report = MetricsReport()
+    bmode = log_compress(envelope(image), cfg.dynamic_range)
+    ref_bmode = None
+    if reference is not None:
+        ref_bmode = log_compress(envelope(reference), cfg.dynamic_range)
+    for roi, bg in regions:
+        measured = bmode if ref_bmode is None else histogram_match(bmode, ref_bmode, bg)
         report.cnr_db.append(cnr(measured, (roi, bg)))
         report.gcnr.append(gcnr(measured, (roi, bg)))
     return report

@@ -198,8 +198,8 @@ class TestLogCompress:
 
 
 class TestExports:
-    def test_pgm_and_png_bytes_deterministic(self, tiny_grid, rng, tmp_path):
-        from pwrecon import export_pgm, export_png
+    def test_png_bytes_deterministic(self, tiny_grid, rng, tmp_path):
+        from pwrecon import export_png
 
         data = -60.0 * rng.random(tiny_grid.shape)
         data.flat[0] = 0.0
@@ -211,8 +211,3 @@ class TestExports:
         export_png(bm, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
-        g1 = tmp_path / "a.pgm"
-        export_pgm(bm, g1)
-        blob = g1.read_bytes()
-        assert blob.startswith(b"P5\n16 16\n255\n")
-        assert len(blob) == len(b"P5\n16 16\n255\n") + 256

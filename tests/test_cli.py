@@ -3,11 +3,18 @@
 import json
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pwrecon import ImagingGrid, RfImage, read_container, write_container
+from pwrecon import (
+    ImagingGrid,
+    RfImage,
+    load_matrix,
+    read_container,
+    write_container,
+)
 from pwrecon.cli import main
 
 
@@ -50,7 +57,9 @@ def small_config(tmp_path):
 
 
 class TestPipelineComposition:
-    def test_full_pipeline(self, small_config, tmp_path):
+    def test_full_pipeline(self, small_config, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("PWRECON_CACHE_DIR", str(cache))
         ch = tmp_path / "channel.usjd"
         ph = tmp_path / "phantom.usjd"
         assert main([
@@ -58,9 +67,8 @@ class TestPipelineComposition:
             "--out", str(ch), "--phantom-out", str(ph),
         ]) == 0
 
-        mat = tmp_path / "model.usjm"
-        assert main(["model", "build", "--config", str(small_config), "--out", str(mat)]) == 0
-        assert read_container(mat).num_cols == 32 * 16
+        (mat,) = cache.glob("sysmat_*.usjm")
+        assert load_matrix(mat).num_cols == 32 * 16
 
         das = tmp_path / "das.usjd"
         assert main([
@@ -128,12 +136,35 @@ class TestPipelineComposition:
         main(["das", "--config", str(small_config), "--channel", str(ch), "--out", str(das)])
         out = tmp_path / "metrics.json"
         disc = "0.0035,0.0,0.0005"
-        assert main([
+        for reference in ([], ["--reference", str(das)]):
+            assert main([
+                "metrics", "--config", str(small_config), "--image", str(das),
+                "--roi", disc, "--background", disc, "--out", str(out), *reference,
+            ]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["gcnr"][0] == 0.0
+
+    @pytest.mark.parametrize("given, missing", [("--roi", "--background"),
+                                                ("--background", "--roi")])
+    def test_half_given_disc_pair_exit_code(
+        self, small_config, tmp_path, capsys, given, missing
+    ):
+        # with a phantom at hand the lone disc must not be dropped silently
+        ch = tmp_path / "channel.usjd"
+        ph = tmp_path / "phantom.usjd"
+        das = tmp_path / "das.usjd"
+        main([
+            "simulate", "--config", str(small_config), "--out", str(ch),
+            "--phantom-out", str(ph),
+        ])
+        main(["das", "--config", str(small_config), "--channel", str(ch), "--out", str(das)])
+        capsys.readouterr()
+        code = main([
             "metrics", "--config", str(small_config), "--image", str(das),
-            "--roi", disc, "--background", disc, "--out", str(out),
-        ]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["gcnr"][0] == 0.0
+            "--phantom", str(ph), given, "0.0035,0.0,0.0005",
+        ])
+        assert code == 4
+        assert "%s is missing" % missing in capsys.readouterr().err
 
 
 class TestCliErrors:
@@ -220,9 +251,17 @@ class TestCliErrors:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"probe": {"num_elements": 1}}))
         code = main([
-            "model", "build", "--config", str(cfg), "--out", str(tmp_path / "m.usjm"),
+            "simulate", "--config", str(cfg), "--out", str(tmp_path / "ch.usjd"),
         ])
         assert code == 4
+
+    def test_solve_without_channel_names_the_flag(self, small_config, tmp_path, capsys):
+        code = main([
+            "solve", "--config", str(small_config), "--mode", "beamform",
+            "--out", str(tmp_path / "o.usjd"),
+        ])
+        assert code == 4
+        assert "--channel" in capsys.readouterr().err
 
     def test_builtin_config_names_load(self):
         from pwrecon import get_builtin_config, load_run_config
@@ -277,3 +316,50 @@ class TestSequentialComputesNoDas:
             "solve", "--config", str(small_config), "--channel", str(ch),
             "--das", str(bad), "--mode", "sequential", "--out", str(tmp_path / "o.usjd"),
         ]) == 4
+
+
+class TestRunReconstructionBuildsMatrixOnDemand:
+    @staticmethod
+    def _counted_builds(monkeypatch):
+        from pwrecon import pipeline
+
+        calls = []
+        build = pipeline.build_model
+
+        def counted(cfg, *args, **kwargs):
+            calls.append(cfg)
+            return build(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_model", counted)
+        return calls
+
+    def test_joint_builds_the_matrix(self, small_config, monkeypatch):
+        from pwrecon import pipeline
+        from pwrecon.config import load_run_config
+
+        cfg = load_run_config(str(small_config))
+        model = pipeline.build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        calls = self._counted_builds(monkeypatch)
+        report = pipeline.run_reconstruction(cfg, None, ch)
+        assert len(calls) == 1
+        given = pipeline.run_reconstruction(cfg, model, ch)
+        assert np.array_equal(report.result.data, given.result.data)
+
+    def test_deconv_only_never_builds_it(self, small_config, monkeypatch):
+        from pwrecon import pipeline
+        from pwrecon.config import load_run_config, mode_fields
+
+        cfg = load_run_config(str(small_config))
+        model = pipeline.build_model(cfg)
+        y_das = pipeline.reference_das(
+            model, pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        )
+        cfg.solver = replace(
+            cfg.solver, **mode_fields("deconv_only", vars(cfg.solver))
+        )
+        assert cfg.psf["type"] == "parametric"
+        calls = self._counted_builds(monkeypatch)
+        report = pipeline.run_reconstruction(cfg, None, None, y_das=y_das)
+        assert calls == []
+        assert np.all(np.isfinite(report.result.data))

@@ -144,7 +144,7 @@ class TestSolverBlocks:
         assert (deconv.gamma_d, deconv.gamma_b) == (2.0, 0.0)
 
     def test_cli_mode_flag_follows_the_same_rule(self, tmp_path, monkeypatch):
-        from pwrecon import cli
+        from pwrecon import pipeline
 
         seen = []
 
@@ -152,7 +152,7 @@ class TestSolverBlocks:
             seen.append(scfg)
             raise ConfigError("captured")
 
-        monkeypatch.setattr(cli, "solve", fake_solve)
+        monkeypatch.setattr(pipeline, "solve", fake_solve)
         doc = get_builtin_config("desk_point")
         doc["solver"] = {"mode": "beamform_only", "gamma_b": 0.5, "mu": 0.3, "beta": 12.0}
         path = tmp_path / "config.json"

@@ -4,6 +4,7 @@ apodization closed forms, adjoint consistency, caching, time windows."""
 import json
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,6 @@ from pwrecon import (
     PlaneWaveTx,
     ProbeGeometry,
     apodization_weight,
-    apply_adjoint,
-    apply_forward,
     build_system_matrix,
     load_matrix,
     propagation_delay,
@@ -139,6 +138,20 @@ class TestApodizationWeight:
         w = apodization_weight((z, 0.0), d * half, spec)
         assert w == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "z, spec",
+        [(5e-324, ApodizationSpec(window=w)) for w in WINDOWS]
+        + [(1e-4, ApodizationSpec(window="tukey", taper=1e-310))],
+        ids=["denormal-depth-%s" % w for w in WINDOWS] + ["denormal-taper"],
+    )
+    def test_denormal_inputs_warn_nothing(self, z, spec):
+        # the element at x = 0 sees the pixel above it at full weight and the
+        # one at 3e-4 m, outside the aperture, not at all
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = apodization_weight((np.full(2, z), np.array([0.0, 3e-4])), 0.0, spec)
+        assert w.tolist() == [1.0, 0.0]
+
 
 class TestBuildAgainstDenseOracle:
     def test_matches_dense_triple_loop_exactly(self, tiny_instance):
@@ -202,7 +215,7 @@ class TestBuildAgainstDenseOracle:
 class TestProducts:
     def test_forward_zero(self, tiny_instance):
         model = tiny_instance["model"]
-        out = apply_forward(model, np.zeros(model.num_cols))
+        out = model.apply(np.zeros(model.num_cols))
         assert np.all(out == 0.0)
 
     def test_forward_basis_vector_extracts_column(self, tiny_instance):
@@ -210,7 +223,7 @@ class TestProducts:
         j = 133
         e = np.zeros(model.num_cols)
         e[j] = 1.0
-        col = apply_forward(model, e)
+        col = model.apply(e)
         assert np.array_equal(col, model.matrix.toarray()[:, j])
 
     def test_adjoint_basis_vector_extracts_row(self, tiny_instance):
@@ -218,7 +231,7 @@ class TestProducts:
         r = model.num_rows // 2
         e = np.zeros(model.num_rows)
         e[r] = 1.0
-        row = apply_adjoint(model, e)
+        row = model.apply_adjoint(e)
         assert np.array_equal(row, model.matrix.toarray()[r, :])
 
     def test_forward_matches_dense_product(self, tiny_instance, rng):
@@ -227,7 +240,7 @@ class TestProducts:
         for _ in range(5):
             x = rng.standard_normal(model.num_cols)
             np.testing.assert_allclose(
-                apply_forward(model, x), dense @ x, rtol=1e-12, atol=1e-14
+                model.apply(x), dense @ x, rtol=1e-12, atol=1e-14
             )
 
     def test_adjoint_matches_dense_product(self, tiny_instance, rng):
@@ -236,7 +249,7 @@ class TestProducts:
         for _ in range(5):
             y = rng.standard_normal(model.num_rows)
             np.testing.assert_allclose(
-                apply_adjoint(model, y), dense.T @ y, rtol=1e-12, atol=1e-14
+                model.apply_adjoint(y), dense.T @ y, rtol=1e-12, atol=1e-14
             )
 
     def test_adjoint_inner_product_identity(self, tiny_instance, rng):
@@ -244,16 +257,16 @@ class TestProducts:
         for _ in range(100):
             x = rng.standard_normal(model.num_cols)
             y = rng.standard_normal(model.num_rows)
-            lhs = apply_forward(model, x) @ y
-            rhs = x @ apply_adjoint(model, y)
+            lhs = model.apply(x) @ y
+            rhs = x @ model.apply_adjoint(y)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_dimension_mismatch_rejected(self, tiny_instance):
         model = tiny_instance["model"]
         with pytest.raises(ValueError):
-            apply_forward(model, np.zeros(model.num_cols + 1))
+            model.apply(np.zeros(model.num_cols + 1))
         with pytest.raises(ValueError):
-            apply_adjoint(model, np.zeros(model.num_rows - 1))
+            model.apply_adjoint(np.zeros(model.num_rows - 1))
 
 
 class TestCacheFile:

@@ -3,6 +3,8 @@ closed-form quadratic image update vs a dense circulant solve."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwrecon import Psf, conv_apply, deconv_update, make_parametric_psf
 
@@ -133,6 +135,27 @@ class TestConvApply:
             lhs = np.sum(conv_apply(psf, x) * y)
             rhs = np.sum(x * conv_apply(psf, y, adjoint=True))
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        half=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        extra=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_identity_for_any_odd_kernel(self, half, extra, seed):
+        # <Hx, y> = <x, H^T y>, relative to the Cauchy-Schwarz bound on both
+        # sides so that a near-zero inner product cannot mask an error
+        kshape = (2 * half[0] + 1, 2 * half[1] + 1)
+        shape = (kshape[0] + extra[0], kshape[1] + extra[1])
+        rng = np.random.default_rng(seed)
+        psf = Psf(kernel=rng.standard_normal(kshape))
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape)
+        hx = conv_apply(psf, x)
+        hty = conv_apply(psf, y, adjoint=True)
+        norm = np.linalg.norm
+        scale = norm(hx) * norm(y) + norm(x) * norm(hty)
+        assert abs(np.sum(hx * y) - np.sum(x * hty)) <= 1e-12 * scale
 
     def test_adjoint_is_point_reflected_convolution(self, rng):
         kernel = rng.standard_normal((3, 5))
