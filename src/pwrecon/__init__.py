@@ -23,7 +23,7 @@ from .beamform import (
     export_png,
     log_compress,
 )
-from .config import RunConfig, get_builtin_config, load_run_config, preset_solver_config
+from .config import RunConfig, get_builtin_config, load_run_config
 from .forward_model import (
     ApodizationSpec,
     SparseSystemMatrix,
@@ -38,7 +38,6 @@ from .forward_model import (
 from .io import ingest_picmus, read_container, write_container
 from .metrics import (
     MetricsReport,
-    RegionSpec,
     annulus_mask,
     cnr,
     disc_mask,

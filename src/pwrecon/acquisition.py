@@ -43,7 +43,9 @@ class ProbeGeometry:
         Transmit center frequency in Hz.
     t0_offset : float
         Acquisition start time relative to transmit, in seconds. Sample m
-        (0-based) corresponds to time m / sampling_freq + t0_offset.
+        (0-based) corresponds to time m / sampling_freq + t0_offset. It may
+        be negative: a steered transmit reaches shallow pixels on one side
+        of the array before t = 0.
     """
 
     num_elements: int

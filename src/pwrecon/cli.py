@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import pipeline
 from .beamform import BModeImage, RfImage, compound, envelope, export_png, log_compress
-from .config import ConfigError, load_run_config, mode_fields, preset_solver_config
+from .config import ConfigError, load_run_config, mode_fields, solver_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
 from .solver import SolverError
@@ -138,7 +138,7 @@ def _cmd_solve(args):
     scfg = cfg.solver
     mode = _MODE_FLAG[args.mode] if args.mode else scfg.mode
     if args.preset:
-        scfg = preset_solver_config(mode, args.preset)
+        scfg = solver_config({"mode": mode, "preset": args.preset})
     elif args.mode:
         scfg = replace(scfg, **mode_fields(mode, vars(scfg)))
 

@@ -22,7 +22,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "PRESET_NAMES",
-    "preset_solver_config",
     "solver_config",
     "mode_fields",
     "load_run_config",
@@ -48,15 +47,6 @@ _PRESETS = {
     "cl": ((0.5, 3.0, 5e3, 1.0), (0.5, 1e4), (0.01, 1e3)),
 }
 PRESET_NAMES = tuple(_PRESETS)
-
-
-def preset_solver_config(mode, preset, **overrides):
-    """SolverConfig for a named experiment preset and reconstruction mode.
-
-    Sequential mode carries its deconvolution-stage hyperparameters in
-    ``stage2``. Keyword overrides are solver-block keys applied last.
-    """
-    return solver_config({**overrides, "mode": mode, "preset": preset})
 
 
 def _preset_block(mode, preset):
@@ -89,12 +79,16 @@ def mode_fields(mode, values):
 
 @dataclass
 class RunConfig:
-    """Everything one reconstruction run needs, minus the data files."""
+    """Everything one reconstruction run needs, minus the data files.
+
+    A run images one plane-wave transmit, so ``tx_angles`` holds exactly one
+    angle; images of several angles are combined with ``pwrecon compound``.
+    """
 
     probe: ProbeGeometry
     grid: ImagingGrid
     tx_angles: list = field(default_factory=lambda: [0.0])
-    num_samples: int | None = None  # None: sized automatically from geometry
+    num_samples: int | None = None  # None: sized to the transmit's delays
     apodization: ApodizationSpec = field(default_factory=ApodizationSpec)
     phantom: dict | None = None
     psf: dict = field(default_factory=lambda: {"type": "model"})
@@ -102,24 +96,22 @@ class RunConfig:
     metrics: dict = field(default_factory=dict)
     dynamic_range: float = 60.0
 
-    def tx(self, index=0):
-        return PlaneWaveTx(angle=self.tx_angles[index])
+    def __post_init__(self):
+        if len(self.tx_angles) != 1:
+            raise ConfigError(
+                "key 'tx_angles' must hold exactly one angle, got %d: run one "
+                "config per angle and combine the images with `pwrecon compound`"
+                % len(self.tx_angles)
+            )
+
+    def tx(self):
+        return PlaneWaveTx(angle=self.tx_angles[0])
 
     def resolve_time_window(self):
-        """Probe (with start offset) and sample count covering the grid.
-
-        The window is the union of every transmit angle's own window, so
-        steered transmits keep all their delays.
-        """
+        """Probe (with start offset) and sample count covering the grid."""
         if self.num_samples is not None:
             return self.probe, self.num_samples
-        windows = [
-            suggest_time_window(self.probe, self.grid, self.tx(k))
-            for k in range(len(self.tx_angles))
-        ]
-        t0 = min(start for start, _ in windows)
-        fs = self.probe.sampling_freq
-        num = max(round((start - t0) * fs) + count for start, count in windows)
+        t0, num = suggest_time_window(self.probe, self.grid, self.tx())
         return replace(self.probe, t0_offset=t0), num
 
 
@@ -243,11 +235,9 @@ def run_config_from_dict(doc):
     values["grid"] = _construct(
         ImagingGrid.for_probe, {"probe": values["probe"], **values["grid"]}, "grid"
     )
-    angles = values.get("tx_angles", [0.0])
-    if not angles:
-        raise ConfigError("tx_angles must be a nonempty list of radians")
     values["tx_angles"] = [
-        _value(angle, "float", "tx_angles", "run config") for angle in angles
+        _value(angle, "float", "tx_angles", "run config")
+        for angle in values.get("tx_angles", [0.0])
     ]
     psf = values.get("psf", {})
     if psf.get("type") == "file" and not os.path.exists(psf.get("path") or ""):

@@ -283,7 +283,7 @@ def suggest_time_window(probe, grid, tx, guard=2):
 
     Returns (t0_offset, num_samples) such that all round-trip delays over
     the grid fall inside the acquisition window with ``guard`` spare samples
-    on each side.
+    on each side. A steered transmit can open the window before t = 0.
     """
     x = grid.x_positions
     elems = probe.element_positions
@@ -298,8 +298,6 @@ def suggest_time_window(probe, grid, tx, guard=2):
     hi = max(float(t.max()) for t in taus)
     fs = probe.sampling_freq
     t0 = np.floor(lo * fs - guard) / fs
-    if t0 < 0:
-        t0 = 0.0
     num = int(np.ceil((hi - t0) * fs)) + 1 + guard
     return t0, num
 

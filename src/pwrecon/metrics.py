@@ -16,7 +16,6 @@ import numpy as np
 from .beamform import BModeImage
 
 __all__ = [
-    "RegionSpec",
     "MetricsReport",
     "UnresolvedPeakError",
     "disc_mask",
@@ -44,24 +43,6 @@ def annulus_mask(grid, center, inner_radius, outer_radius):
     if not 0 <= inner_radius < outer_radius:
         raise ValueError("need 0 <= inner_radius < outer_radius")
     return disc_mask(grid, center, outer_radius) & ~disc_mask(grid, center, inner_radius)
-
-
-@dataclass
-class RegionSpec:
-    """Disjoint ROI / background pixel masks for contrast measurement."""
-
-    roi: np.ndarray
-    background: np.ndarray
-
-    def __post_init__(self):
-        self.roi = np.asarray(self.roi, dtype=bool)
-        self.background = np.asarray(self.background, dtype=bool)
-        if self.roi.shape != self.background.shape:
-            raise ValueError("roi and background masks must share a shape")
-        if not self.roi.any() or not self.background.any():
-            raise ValueError("roi and background must both be nonempty")
-        if (self.roi & self.background).any():
-            raise ValueError("roi and background must be disjoint")
 
 
 @dataclass
@@ -165,9 +146,7 @@ def fwhm(env, target, axis, search_halfwidth=5):
 
 
 def _masks(regions):
-    """Unpack a RegionSpec or a plain (roi, background) mask pair."""
-    if isinstance(regions, RegionSpec):
-        return regions.roi, regions.background
+    """Unpack a (roi, background) mask pair as nonempty boolean arrays."""
     roi, bg = regions
     roi = np.asarray(roi, dtype=bool)
     bg = np.asarray(bg, dtype=bool)

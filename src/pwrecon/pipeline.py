@@ -39,12 +39,11 @@ __all__ = [
 ]
 
 
-def build_model(cfg, angle_index=0, cache_dir=None):
-    """System matrix for one transmit of a run config (disk-cached)."""
+def build_model(cfg):
+    """System matrix of a run config's transmit (disk-cached)."""
     probe, num_samples = cfg.resolve_time_window()
     return cached_system_matrix(
-        probe, cfg.grid, cfg.tx(angle_index), num_samples, cfg.apodization,
-        cache_dir=cache_dir,
+        probe, cfg.grid, cfg.tx(), num_samples, cfg.apodization
     )
 
 
@@ -177,22 +176,25 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
     The channel term (``gamma_b > 0``, and the first stage of sequential
     mode) reads ``ch``; the blur term reads ``y_das``, computed by
     delay-and-sum from ``ch`` when not given. With ``model`` None the
-    system matrix is built from ``cfg`` only if one of those needs it.
+    system matrix is built from ``cfg`` only if one of those, or a
+    ``"model"`` PSF, needs it.
     """
     scfg = cfg.solver
     sequential = scfg.mode == "sequential"
     needs_channel = scfg.gamma_b > 0 or sequential
     # sequential mode deblurs its own first stage, never a DAS image
     needs_das = y_das is None and scfg.gamma_d > 0 and not sequential
+    needs_psf = psf is None and (scfg.gamma_d > 0 or sequential)
     if ch is None and needs_channel:
         raise ConfigError("mode %r needs --channel data" % scfg.mode)
     if ch is None and needs_das:
         raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
-    if model is None and (needs_channel or needs_das):
+    model_psf = needs_psf and cfg.psf.get("type", "model") == "model"
+    if model is None and (needs_channel or needs_das or model_psf):
         model = build_model(cfg)
     if needs_das:
         y_das = reference_das(model, ch)
-    if psf is None and (scfg.gamma_d > 0 or sequential):
+    if needs_psf:
         psf = resolve_psf(cfg, model=model)
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das, x0=x0)
 

@@ -267,7 +267,7 @@ class TestCriterion6ContrastOrdering:
 
 class TestCriterion7MetricUnitValues:
     def test_cnr_gcnr_fwhm_reference_values(self):
-        from pwrecon import BModeImage, ImagingGrid, RegionSpec, RfImage
+        from pwrecon import BModeImage, ImagingGrid, RfImage
 
         grid = ImagingGrid(nz=32, nx=32, dz=1e-4, dx=1e-4, z_origin=0.0)
         data = np.zeros((32, 32))
@@ -277,7 +277,7 @@ class TestCriterion7MetricUnitValues:
         img = BModeImage(data, grid, 60.0)
         roi = np.zeros((32, 32), dtype=bool)
         roi[:16] = True
-        val = cnr(img, RegionSpec(roi=roi, background=~roi))
+        val = cnr(img, (roi, ~roi))
         assert val == pytest.approx(6.020599913279624, abs=1e-6)
 
         rng = np.random.default_rng(4)

@@ -116,17 +116,20 @@ class TestPipelineComposition:
             assert np.all(np.isfinite(read_container(out).data))
 
     def test_preset_applies_published_values(self, small_config, tmp_path, capsys):
-        from pwrecon import preset_solver_config
+        from pwrecon.config import solver_config
 
-        cfg = preset_solver_config("joint", "sr")
+        def preset(mode, name):
+            return solver_config({"mode": mode, "preset": name})
+
+        cfg = preset("joint", "sr")
         assert (cfg.gamma_d, cfg.gamma_b, cfg.beta, cfg.mu) == (1.0, 0.1, 500.0, 5.0)
-        cfg = preset_solver_config("joint", "sc")
+        cfg = preset("joint", "sc")
         assert (cfg.gamma_d, cfg.gamma_b, cfg.beta, cfg.mu) == (1.0, 0.1, 1e3, 0.1)
-        cfg = preset_solver_config("beamform_only", "sr")
+        cfg = preset("beamform_only", "sr")
         assert (cfg.gamma_b, cfg.mu, cfg.beta) == (1.0, 5.0, 1e3)
-        cfg = preset_solver_config("deconv_only", "cc")
+        cfg = preset("deconv_only", "cc")
         assert (cfg.mu, cfg.beta) == (0.01, 1e3)
-        cfg = preset_solver_config("sequential", "sc")
+        cfg = preset("sequential", "sc")
         assert cfg.stage2 is not None and cfg.stage2.mu == 0.1
 
     def test_identical_masks_give_gcnr_zero(self, small_config, tmp_path):
@@ -363,3 +366,24 @@ class TestRunReconstructionBuildsMatrixOnDemand:
         report = pipeline.run_reconstruction(cfg, None, None, y_das=y_das)
         assert calls == []
         assert np.all(np.isfinite(report.result.data))
+
+    def test_deconv_only_builds_it_for_a_model_psf(self, monkeypatch):
+        from pwrecon import pipeline
+        from pwrecon.config import get_builtin_config, mode_fields, run_config_from_dict
+
+        doc = get_builtin_config("desk_point")
+        doc["psf"] = {"type": "model"}
+        cfg = run_config_from_dict(doc)
+        cfg.solver = replace(
+            cfg.solver, **mode_fields("deconv_only", vars(cfg.solver))
+        )
+        model = pipeline.build_model(cfg)
+        y_das = pipeline.reference_das(
+            model, pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        )
+        calls = self._counted_builds(monkeypatch)
+        report = pipeline.run_reconstruction(cfg, None, None, y_das=y_das)
+        assert len(calls) == 1
+        given = pipeline.run_reconstruction(cfg, model, None, y_das=y_das)
+        assert len(calls) == 1
+        assert np.array_equal(report.result.data, given.result.data)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwrecon import InnerSettings, SolverConfig, preset_solver_config
+from pwrecon import InnerSettings, RunConfig, SolverConfig
 from pwrecon.cli import main
 from pwrecon.config import (
     DESK_SEQUENTIAL,
-    PRESET_NAMES,
     ConfigError,
     desk_sequential_config,
     get_builtin_config,
@@ -34,6 +33,8 @@ BAD_DOCS = {
     "number_as_string": (lambda d: d["probe"].update(pitch="0.3e-3"), "pitch"),
     "bool_as_number": (lambda d: d["solver"].update(mu=True), "mu"),
     "angle_as_string": (lambda d: d.update(tx_angles=["0.1"]), "tx_angles"),
+    "several_angles": (lambda d: d.update(tx_angles=[0.0, -0.3, 0.3]), "tx_angles"),
+    "no_angle": (lambda d: d.update(tx_angles=[]), "tx_angles"),
 }
 
 
@@ -57,6 +58,13 @@ def test_bad_config_exits_4_through_the_cli(case, tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("angles", [[0.0, -0.3, 0.3], []])
+def test_run_config_takes_exactly_one_angle(angles):
+    cfg = run_config_from_dict(get_builtin_config("desk_point"))
+    with pytest.raises(ConfigError, match="'tx_angles'.*pwrecon compound"):
+        RunConfig(probe=cfg.probe, grid=cfg.grid, tx_angles=angles)
 
 
 def _blocks(doc):
@@ -102,16 +110,8 @@ class TestStrictBlocks:
 
 
 class TestSolverBlocks:
-    @pytest.mark.parametrize(
-        "mode", ["joint", "beamform_only", "deconv_only", "sequential"]
-    )
-    def test_preset_block_matches_preset_config(self, mode):
-        for preset in PRESET_NAMES:
-            block = {"mode": mode, "preset": preset, "max_iter": 7}
-            assert solver_config(block) == preset_solver_config(mode, preset, max_iter=7)
-
     def test_sequential_preset_stages(self):
-        assert preset_solver_config("sequential", "cc") == SolverConfig(
+        assert solver_config({"mode": "sequential", "preset": "cc"}) == SolverConfig(
             gamma_d=0.0,
             gamma_b=1.0,
             beta=1e4,

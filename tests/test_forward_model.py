@@ -337,36 +337,42 @@ class TestCacheFile:
         assert load_matrix(path).nnz == inst["model"].nnz
 
 
+def _steered_configs():
+    """desk_point at single steered angles, on its own grid and on one that
+    starts at 0.5 mm, where the wave reaches shallow pixels before t = 0."""
+    for z_origin in (7.0e-3, 0.5e-3):
+        for angle in (-0.3, 0.3):
+            doc = get_builtin_config("desk_point")
+            doc["tx_angles"] = [angle]
+            doc["grid"]["z_origin"] = z_origin
+            yield run_config_from_dict(doc)
+
+
 class TestSteeredTimeWindow:
     def test_window_covers_every_angle(self):
-        doc = get_builtin_config("desk_point")
-        doc["tx_angles"] = [0.0, -0.3, 0.3]
-        cfg = run_config_from_dict(doc)
-        probe, num = cfg.resolve_time_window()
-        fs = probe.sampling_freq
-        for k in range(len(cfg.tx_angles)):
-            t0, n = suggest_time_window(cfg.probe, cfg.grid, cfg.tx(k))
-            assert t0 >= probe.t0_offset
-            assert round((t0 - probe.t0_offset) * fs) + n <= num
-            model = build_model(cfg, angle_index=k)
-            assert model.num_time_samples == num
-            assert np.all(np.diff(model.matrix.tocsc().indptr) > 0)
+        for cfg in _steered_configs():
+            probe, num = cfg.resolve_time_window()
+            model = build_model(cfg)
+            assert model.probe == probe and model.num_time_samples == num
+            # every pixel reaches some element within the window
+            assert np.all(np.diff(model.matrix.tocsc().indptr) > 0), cfg.tx_angles
 
     def test_window_holds_every_pixel_element_delay(self):
-        doc = get_builtin_config("desk_point")
-        doc["tx_angles"] = [0.0, -0.3, 0.3]
-        cfg = run_config_from_dict(doc)
-        probe, num = cfg.resolve_time_window()
-        z = np.repeat(cfg.grid.z_positions, cfg.grid.nx)
-        x = np.tile(cfg.grid.x_positions, cfg.grid.nz)
-        elems = probe.element_positions
-        t_end = probe.t0_offset + (num - 1) / probe.sampling_freq
-        for k in range(len(cfg.tx_angles)):
+        for cfg in _steered_configs():
+            probe, num = cfg.resolve_time_window()
+            z = np.repeat(cfg.grid.z_positions, cfg.grid.nx)
+            x = np.tile(cfg.grid.x_positions, cfg.grid.nz)
             tau = propagation_delay(
-                (z[:, None], x[:, None]), elems[None, :], cfg.tx(k), probe.sound_speed
+                (z[:, None], x[:, None]),
+                probe.element_positions[None, :],
+                cfg.tx(),
+                probe.sound_speed,
             )
-            assert tau.min() >= probe.t0_offset, cfg.tx_angles[k]
-            assert tau.max() <= t_end, cfg.tx_angles[k]
+            where = (cfg.tx_angles, cfg.grid.z_origin)
+            assert tau.min() >= probe.t0_offset, where
+            assert tau.max() <= probe.t0_offset + (num - 1) / probe.sampling_freq, where
+            if cfg.grid.z_origin < 1e-3:
+                assert probe.t0_offset < 0.0, where
 
 
 class TestElementGeometry:
@@ -403,7 +409,7 @@ class TestCsrAssembly:
         try:
             base = tracemalloc.get_traced_memory()[0]
             mat = build_system_matrix(
-                probe, cfg.grid, cfg.tx(0), num, cfg.apodization
+                probe, cfg.grid, cfg.tx(), num, cfg.apodization
             ).matrix
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -478,9 +484,7 @@ class TestGeometryProperties:
         tau = propagation_delay(
             (z[:, None], x[:, None]), probe.element_positions, tx, probe.sound_speed
         )
-        # the window never opens before the transmit, so shallow pixels that a
-        # steered wave reaches at negative times stay outside it
-        assert max(tau.min(), 0.0) >= probe.t0_offset
+        assert tau.min() >= probe.t0_offset
         assert tau.max() <= probe.t0_offset + (num - 1) / probe.sampling_freq
 
     @settings(max_examples=25, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 from pwrecon import (
     BModeImage,
     ImagingGrid,
-    RegionSpec,
     RfImage,
     cnr,
     disc_mask,
@@ -95,7 +94,7 @@ class TestCnr:
         data[:16] = -2.0 + spread
         data[16:] = -1.0 + spread
         img = self._bmode(data)
-        val = cnr(img, RegionSpec(roi=roi, background=bg))
+        val = cnr(img, (roi, bg))
         assert val == pytest.approx(20 * np.log10(1.0 / 0.5), abs=1e-6)
 
     def test_zero_mean_difference_is_minus_inf(self):
@@ -122,8 +121,8 @@ class TestCnr:
         bg = np.zeros_like(roi)
         bg[14:22, 14:22] = True
         img = self._bmode(data)
-        a = cnr(img, RegionSpec(roi=roi, background=bg))
-        b = cnr(img, RegionSpec(roi=bg, background=roi))
+        a = cnr(img, (roi, bg))
+        b = cnr(img, (bg, roi))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -262,14 +261,6 @@ class TestMasksAndRegions:
         assert not (disc & ring).any()
         frac = disc.sum() / (np.pi * 10.0**2)
         assert frac == pytest.approx(1.0, rel=0.05)
-
-    def test_region_spec_invariants(self):
-        roi = np.zeros((8, 8), dtype=bool)
-        roi[:4] = True
-        with pytest.raises(ValueError):
-            RegionSpec(roi=roi, background=roi)
-        with pytest.raises(ValueError):
-            RegionSpec(roi=roi, background=np.zeros((8, 8), dtype=bool))
 
     def test_metrics_report_serialization(self):
         from pwrecon import MetricsReport
