@@ -19,10 +19,10 @@ from dataclasses import replace
 
 from . import pipeline
 from .beamform import BModeImage, RfImage, compound, envelope, export_png, log_compress
-from .config import ConfigError, load_run_config, mode_fields, solver_config
+from .config import ConfigError, load_run_config, solver_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
-from .solver import SolverError
+from .solver import SolverError, mode_fields
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 3

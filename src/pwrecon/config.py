@@ -16,14 +16,13 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
 from .forward_model import ApodizationSpec, suggest_time_window
-from .solver import InnerSettings, SolverConfig
+from .solver import InnerSettings, SolverConfig, mode_fields
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "PRESET_NAMES",
     "solver_config",
-    "mode_fields",
     "load_run_config",
     "builtin_config_names",
     "get_builtin_config",
@@ -61,20 +60,6 @@ def _preset_block(mode, preset):
         stage2 = dict(zip(("mu", "beta"), deconv), mode="deconv_only")
         block.update(gamma_d=0.0, gamma_b=1.0, stage2=stage2)
     return block
-
-
-def mode_fields(mode, values):
-    """SolverConfig fields that put keyword ``values`` into ``mode``.
-
-    A single-term mode keeps one data term: beamform_only sets gamma_d = 0
-    and keeps gamma_b, or 1.0 where gamma_b is unset or zero; deconv_only is
-    the mirror image. Other modes change only ``mode``.
-    """
-    if mode == "beamform_only":
-        return {"mode": mode, "gamma_d": 0.0, "gamma_b": values.get("gamma_b") or 1.0}
-    if mode == "deconv_only":
-        return {"mode": mode, "gamma_b": 0.0, "gamma_d": values.get("gamma_d") or 1.0}
-    return {"mode": mode}
 
 
 @dataclass

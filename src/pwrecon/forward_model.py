@@ -332,7 +332,7 @@ def cached_system_matrix(probe, grid, tx, num_samples, apod, cache_dir=None):
     if not cache_dir:
         return build_system_matrix(probe, grid, tx, num_samples, apod)
     fp = geometry_fingerprint(probe, grid, tx, num_samples, apod)
-    path = os.path.join(cache_dir, "sysmat_%s.usjm" % fp[:16])
+    path = os.path.join(cache_dir, "sysmat_%s.usjd" % fp[:16])
     if os.path.exists(path):
         try:
             model = load_matrix(path)

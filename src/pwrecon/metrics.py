@@ -9,7 +9,7 @@ and thread-safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -54,23 +54,12 @@ class MetricsReport:
     cnr_db: list = field(default_factory=list)
     gcnr: list = field(default_factory=list)
 
-    @staticmethod
-    def _avg(values):
-        return float(np.mean(values)) if values else None
+    def _averages(self):
+        lists = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: float(np.mean(v)) if v else None for k, v in lists.items()}
 
     def to_json_dict(self):
-        return {
-            "fwhm_axial_mm": self.fwhm_axial_mm,
-            "fwhm_lateral_mm": self.fwhm_lateral_mm,
-            "cnr_db": self.cnr_db,
-            "gcnr": self.gcnr,
-            "averages": {
-                "fwhm_axial_mm": self._avg(self.fwhm_axial_mm),
-                "fwhm_lateral_mm": self._avg(self.fwhm_lateral_mm),
-                "cnr_db": self._avg(self.cnr_db),
-                "gcnr": self._avg(self.gcnr),
-            },
-        }
+        return {**asdict(self), "averages": self._averages()}
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -78,13 +67,7 @@ class MetricsReport:
     def to_text(self):
         """Aligned-column table of averaged indexes."""
         headers = ["FWHM_A (mm)", "FWHM_L (mm)", "CNR (dB)", "gCNR"]
-        avgs = [
-            self._avg(self.fwhm_axial_mm),
-            self._avg(self.fwhm_lateral_mm),
-            self._avg(self.cnr_db),
-            self._avg(self.gcnr),
-        ]
-        cells = ["-" if v is None else "%.4g" % v for v in avgs]
+        cells = ["-" if v is None else "%.4g" % v for v in self._averages().values()]
         widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
         line1 = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
         line2 = "  ".join(c.rjust(w) for c, w in zip(cells, widths))

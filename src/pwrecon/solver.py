@@ -9,9 +9,9 @@ updated in closed form in the Fourier domain, z carries the channel-data
 term and is updated by an iterative solver on its normal equations, and w
 absorbs the l1 term through soft thresholding. Scaled multipliers tie the
 copies together. Four modes reuse the same cycle: ``joint`` keeps both data
-terms, ``beamform_only``/``deconv_only`` zero one of them, and
-``sequential`` chains beamform_only into deconv_only using the first
-stage's output as the blur-term observation.
+terms, ``beamform_only``/``deconv_only`` zero one of them (``mode_fields``
+is the one rule for that), and ``sequential`` chains beamform_only into
+deconv_only using the first stage's output as the blur-term observation.
 
 One solve owns its state; concurrent solves on shared immutable inputs are
 safe.
@@ -39,11 +39,26 @@ __all__ = [
     "sparsity_update",
     "multiplier_update",
     "solve",
+    "mode_fields",
 ]
 
 MODES = ("joint", "beamform_only", "deconv_only", "sequential")
 
 _TINY = 1e-30
+
+
+def mode_fields(mode, values):
+    """SolverConfig fields that put keyword ``values`` into ``mode``.
+
+    A single-term mode keeps one data term: beamform_only sets gamma_d = 0
+    and keeps gamma_b, or 1.0 where gamma_b is unset or zero; deconv_only is
+    the mirror image. Other modes change only ``mode``.
+    """
+    if mode == "beamform_only":
+        return {"mode": mode, "gamma_d": 0.0, "gamma_b": values.get("gamma_b") or 1.0}
+    if mode == "deconv_only":
+        return {"mode": mode, "gamma_b": 0.0, "gamma_d": values.get("gamma_d") or 1.0}
+    return {"mode": mode}
 
 
 class SolverError(RuntimeError):
@@ -78,8 +93,9 @@ class SolverConfig:
 
     ``normalize`` rescales the observations to unit peak before iterating
     (and undoes the scale on the result) so that the l1 weight mu keeps a
-    consistent meaning across datasets. ``stage2`` optionally overrides the
-    deconvolution-stage hyperparameters in sequential mode.
+    consistent meaning across datasets. In sequential mode ``stage2``
+    optionally overrides the deconvolution-stage hyperparameters; each stage
+    is completed by ``mode_fields``.
     """
 
     gamma_d: float = 1.0
@@ -279,6 +295,18 @@ def multiplier_update(state, beta):
     return state
 
 
+def _check_geometry(ch, model):
+    """ValueError unless channel data ``ch`` share the transmit and the probe
+    fields that ``model``'s weights depend on (center_freq only labels data)."""
+    names = ("num_elements", "pitch", "sound_speed", "sampling_freq", "t0_offset")
+    pairs = [("tx", ch.tx, model.tx)] + [
+        (f, getattr(ch.probe, f), getattr(model.probe, f)) for f in names
+    ]
+    diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
+    if diffs:
+        raise ValueError("channel data differ from the system matrix in %s" % "; ".join(diffs))
+
+
 def _as_array(x):
     if isinstance(x, RfImage):
         return x.data
@@ -293,15 +321,16 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     ----------
     cfg : SolverConfig
     model : SparseSystemMatrix, required when gamma_b > 0.
-    y_ch : ChannelData or flat channel vector, required with ``model``.
+    y_ch : ChannelData or flat channel vector, required with ``model``; a
+        ChannelData must share the matrix's transmit and probe geometry.
     psf : Psf, required when gamma_d > 0.
     y_das : RfImage or (nz, nx) array, required with ``psf``.
     x0 : optional (nz, nx) array initializing u = w = z (multipliers start
         at zero). Defaults to all zeros.
 
-    Returns a SolveReport whose result is the blur-side iterate u (the
-    channel-side iterate z for beamform_only). Raises DivergenceError if
-    the objective exceeds 1e6 times its initial value.
+    Returns a SolveReport whose result is the iterate the stopping test
+    tracks: u, or z whenever gamma_d = 0. Raises DivergenceError if the
+    objective exceeds 1e6 times its initial value.
     """
     t_start = time.perf_counter()
     if cfg.mode == "sequential":
@@ -329,6 +358,8 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     if y_das_arr is not None and y_das_arr.shape != shape:
         raise ValueError("reference image shape does not match grid")
     if hasattr(y_ch, "to_vector"):
+        if model is not None:
+            _check_geometry(y_ch, model)
         y_ch_vec = y_ch.to_vector()
     else:
         y_ch_vec = _as_array(y_ch)
@@ -412,7 +443,7 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
             converged = True
             break
 
-    result_arr = (state.z if cfg.mode == "beamform_only" else state.u) * scale
+    result_arr = (state.u if track_u else state.z) * scale
     return SolveReport(
         result=RfImage(data=result_arr, grid=grid),
         converged=converged,
@@ -430,11 +461,11 @@ def _solve_sequential(cfg, model, y_ch, psf, y_das, x0, t_start):
         raise ValueError("sequential mode needs a system matrix and channel data")
     if psf is None:
         raise ValueError("sequential mode needs a PSF for its second stage")
-    stage1_cfg = replace(cfg, mode="beamform_only", gamma_d=0.0, stage2=None)
-    report1 = solve(stage1_cfg, model=model, y_ch=y_ch, x0=x0)
-    base2 = cfg.stage2 if cfg.stage2 is not None else cfg
-    stage2_cfg = replace(base2, mode="deconv_only", gamma_b=0.0, stage2=None)
-    report2 = solve(stage2_cfg, psf=psf, y_das=report1.result)
+    stage1 = replace(cfg, stage2=None, **mode_fields("beamform_only", vars(cfg)))
+    report1 = solve(stage1, model=model, y_ch=y_ch, x0=x0)
+    stage2 = cfg.stage2 or cfg
+    stage2 = replace(stage2, stage2=None, **mode_fields("deconv_only", vars(stage2)))
+    report2 = solve(stage2, psf=psf, y_das=report1.result)
     return SolveReport(
         result=report2.result,
         converged=report1.converged and report2.converged,

@@ -67,7 +67,7 @@ class TestPipelineComposition:
             "--out", str(ch), "--phantom-out", str(ph),
         ]) == 0
 
-        (mat,) = cache.glob("sysmat_*.usjm")
+        (mat,) = cache.glob("sysmat_*.usjd")
         assert load_matrix(mat).num_cols == 32 * 16
 
         das = tmp_path / "das.usjd"
@@ -319,6 +319,66 @@ class TestSequentialComputesNoDas:
             "solve", "--config", str(small_config), "--channel", str(ch),
             "--das", str(bad), "--mode", "sequential", "--out", str(tmp_path / "o.usjd"),
         ]) == 4
+
+
+class TestSequentialStages:
+    """Each sequential stage is completed by the single-term rule."""
+
+    def test_deconv_only_block_runs_sequential(self, small_config, tmp_path):
+        doc = json.loads(small_config.read_text())
+        doc["solver"] = {"mode": "deconv_only", "mu": 0.1, "beta": 24.0}
+        small_config.write_text(json.dumps(doc))
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
+        assert main([
+            "solve", "--config", str(small_config), "--channel", str(ch),
+            "--mode", "sequential", "--out", str(tmp_path / "seq.usjd"),
+        ]) == 0
+
+    def test_desk_point_joint_block_under_mode_sequential(self, tmp_path, monkeypatch):
+        from pwrecon import SolverConfig, pipeline
+
+        reports = []
+        solve = pipeline.solve
+
+        def kept(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "solve", kept)
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", "builtin:desk_point", "--out", str(ch)]) == 0
+        assert main([
+            "solve", "--config", "builtin:desk_point", "--channel", str(ch),
+            "--mode", "sequential", "--out", str(tmp_path / "seq.usjd"),
+        ]) == 0
+        (report,) = reports
+        stage1, stage2 = (stage.config for stage in report.stages)
+        assert stage1 == SolverConfig(
+            mode="beamform_only", gamma_d=0.0, gamma_b=0.25, beta=12.0, mu=0.72
+        )
+        assert stage2 == SolverConfig(
+            mode="deconv_only", gamma_d=1.0, gamma_b=0.0, beta=12.0, mu=0.72
+        )
+
+
+class TestChannelGeometryMismatch:
+    def test_channel_steered_the_other_way_exits_4(self, small_config, tmp_path, capsys):
+        doc = json.loads(small_config.read_text())
+        paths = {}
+        for angle in (0.3, -0.3):
+            doc["tx_angles"] = [angle]
+            paths[angle] = tmp_path / ("config%+.1f.json" % angle)
+            paths[angle].write_text(json.dumps(doc))
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(paths[0.3]), "--out", str(ch)]) == 0
+        capsys.readouterr()
+        assert main([
+            "solve", "--config", str(paths[-0.3]), "--channel", str(ch),
+            "--out", str(tmp_path / "o.usjd"),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "in tx PlaneWaveTx(angle=0.3) vs PlaneWaveTx(angle=-0.3)" in err
 
 
 class TestRunReconstructionBuildsMatrixOnDemand:

@@ -306,7 +306,7 @@ class TestCacheFile:
             inst["apod"],
             cache_dir=str(tmp_path),
         )
-        files = list(tmp_path.glob("sysmat_*.usjm"))
+        files = list(tmp_path.glob("sysmat_*.usjd"))
         assert len(files) == 1
         second = cached_system_matrix(
             inst["probe"],
@@ -324,7 +324,7 @@ class TestCacheFile:
             inst["probe"], inst["grid"], inst["tx"], inst["num_samples"], inst["apod"]
         )
         cached_system_matrix(*args, cache_dir=str(tmp_path))
-        (path,) = tmp_path.glob("sysmat_*.usjm")
+        (path,) = tmp_path.glob("sysmat_*.usjd")
         blob = path.read_bytes()
         # the first array's length field follows the metadata JSON
         text = blob.decode("latin-1")

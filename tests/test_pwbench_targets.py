@@ -1,10 +1,17 @@
-"""The traced benchmark wraps pwrecon names listed in ``pwbench/spans.py``;
-each must still exist, or a traced run crashes instead of a test failing."""
+"""The traced benchmark wraps pwrecon names listed in ``pwbench/spans.py``
+and its hooks read the arguments and results of some of them; each name,
+parameter and result field they use must still exist, or a traced run
+crashes instead of a test failing."""
 
 import functools
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from pwrecon import InnerSettings, Psf, SolverConfig, beamform_update, solve
 
 SPANS = Path(__file__).resolve().parents[1] / "pwbench" / "spans.py"
 
@@ -26,3 +33,37 @@ def test_every_traced_name_resolves():
         except (ImportError, AttributeError):
             missing.append("%s.%s" % (module, attr))
     assert missing == []
+
+
+def _hook(name, fn, args, kwargs):
+    """Call ``fn``, run the traced benchmark's hook for span ``name`` on the
+    call and return the span's attributes with the call's result."""
+    span = SimpleNamespace(attrs=None)
+    result = fn(*args, **kwargs)
+    _load_spans()._HOOKS[name](span, fn, args, kwargs, result)
+    return span.attrs, result
+
+
+def test_inner_iteration_hook_on_a_capped_update(covered_instance):
+    model = covered_instance["model"]
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(covered_instance["grid"].shape)
+    args = (model, rng.standard_normal(model.num_rows), u, np.zeros_like(u), 1.0, 2.0)
+    inner = InnerSettings(max_iter=1, tol=1e-14)
+    attrs, _ = _hook("solver.beamform_update", beamform_update, args, {"inner": inner})
+    assert attrs == {"inner": 1, "capped": 1}
+
+
+def test_solve_iteration_hook_counts_both_sequential_stages(covered_instance):
+    model = covered_instance["model"]
+    x = np.zeros(covered_instance["grid"].shape)
+    x[6, 6] = 1.0
+    cfg = SolverConfig(gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, mode="sequential")
+    kwargs = dict(
+        model=model,
+        y_ch=model.apply(x.reshape(-1, order="F")),
+        psf=Psf(kernel=np.outer([0.5, 1.0, 0.5], [0.5, 1.0, 0.5])),
+    )
+    attrs, report = _hook("solver.solve", solve, (cfg,), kwargs)
+    assert len(report.stages) == 2
+    assert attrs == {"outer": sum(stage.iterations for stage in report.stages)}

@@ -277,21 +277,29 @@ class TestSolve:
     ):
         model = covered_instance["model"]
         y_ch = rng.standard_normal(model.num_rows)
+        # a warm start: from zero both solves stall at iteration 2 with u == z
+        x0 = rng.standard_normal(covered_instance["grid"].shape)
         base = dict(gamma_b=1.0, mu=0.02, beta=1.0, max_iter=40)
         joint = solve(
-            SolverConfig(gamma_d=0.0, mode="joint", **base), model=model, y_ch=y_ch
+            SolverConfig(gamma_d=0.0, mode="joint", **base),
+            model=model,
+            y_ch=y_ch,
+            x0=x0,
         )
         bf = solve(
             SolverConfig(gamma_d=0.0, mode="beamform_only", **base),
             model=model,
             y_ch=y_ch,
+            x0=x0,
         )
         assert joint.iterations == bf.iterations
         assert np.array_equal(joint.state.z, bf.state.z)
         assert np.array_equal(joint.state.u, bf.state.u)
         assert np.array_equal(joint.state.w, bf.state.w)
-        # beamform_only reports the channel-side iterate
+        # beamform_only reports the channel-side iterate, and so does joint
+        # once its blur weight is zero
         assert np.array_equal(bf.result.data, joint.state.z * joint.scale)
+        assert np.array_equal(joint.result.data, bf.result.data)
 
     def test_ablation_joint_gamma_b_zero_equals_deconv_only(
         self, covered_instance, rng
@@ -330,6 +338,22 @@ class TestSolve:
         assert len(report.stages) == 2
         assert report.stages[0].config.mode == "beamform_only"
         assert report.stages[1].config.mode == "deconv_only"
+        assert np.all(np.isfinite(report.result.data))
+
+    def test_sequential_without_stage2_completes_both_stages(
+        self, covered_instance, rng
+    ):
+        # each stage keeps one data term by the single-term rule, so the
+        # stage-2 blur weight is 1.0 although the sequential config has 0
+        model = covered_instance["model"]
+        x = np.zeros(covered_instance["grid"].shape)
+        x[6, 6] = 1.0
+        y_ch = model.apply(x.reshape(-1, order="F"))
+        cfg = SolverConfig(gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, mode="sequential")
+        report = solve(cfg, model=model, y_ch=y_ch, psf=make_psf(rng))
+        stage1, stage2 = (stage.config for stage in report.stages)
+        assert (stage1.mode, stage1.gamma_d, stage1.gamma_b) == ("beamform_only", 0.0, 1.0)
+        assert (stage2.mode, stage2.gamma_d, stage2.gamma_b) == ("deconv_only", 1.0, 0.0)
         assert np.all(np.isfinite(report.result.data))
 
     def test_mode_requirements_validated(self, covered_instance, rng):
@@ -392,6 +416,49 @@ class TestSolve:
         assert doc["iterations"] == report.iterations
         assert len(doc["objective_history"]) == report.iterations + 1
         assert "wall_time_s" in doc["timing"]
+
+
+class TestChannelGeometry:
+    """Channel data must be recorded with the geometry the system matrix models."""
+
+    @staticmethod
+    def _solve(inst, rng, tx=None, **probe_changes):
+        from pwrecon import ChannelData
+
+        model = inst["model"]
+        samples = rng.standard_normal((inst["num_samples"], inst["probe"].num_elements))
+        ch = ChannelData(
+            samples, tx=tx or inst["tx"], probe=replace(inst["probe"], **probe_changes)
+        )
+        cfg = SolverConfig(gamma_d=0.0, mode="beamform_only", max_iter=3)
+        return solve(cfg, model=model, y_ch=ch)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"pitch": 0.31e-3},
+            {"sound_speed": 1500.0},
+            {"sampling_freq": 25e6},
+            {"t0_offset": 1e-7},
+        ],
+        ids=lambda changes: next(iter(changes)),
+    )
+    def test_probe_mismatch_names_the_field(self, covered_instance, rng, changes):
+        (name,) = changes
+        with pytest.raises(ValueError, match="system matrix in %s " % name):
+            self._solve(covered_instance, rng, **changes)
+
+    def test_transmit_mismatch_is_named(self, covered_instance, rng):
+        from pwrecon import PlaneWaveTx
+
+        with pytest.raises(ValueError, match="in tx PlaneWaveTx"):
+            self._solve(covered_instance, rng, tx=PlaneWaveTx(angle=0.1))
+
+    def test_center_freq_is_not_compared(self, covered_instance, rng):
+        # ingested RF files carry no center frequency; Phi does not use it
+        fs = covered_instance["probe"].sampling_freq
+        report = self._solve(covered_instance, rng, center_freq=fs / 4.0)
+        assert np.all(np.isfinite(report.result.data))
 
 
 class TestInnerOutcomes:
