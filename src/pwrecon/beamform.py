@@ -39,9 +39,6 @@ class RfImage:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("image contains non-finite values")
 
-    def to_vector(self):
-        return self.data.reshape(-1, order="F")
-
 
 @dataclass
 class BModeImage:

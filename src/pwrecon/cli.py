@@ -6,8 +6,11 @@ outputs. Which observations a reconstruction mode needs is decided by
 ``pipeline.run_reconstruction``; contrast and resolution are scored by
 ``pipeline.measure`` and its contrast helper.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 missing input file or
-missing optional dependency, 4 invalid data or configuration, 5 solver failure.
+Each input flag reads the container kind it names.
+
+Exit codes: 0 success, 2 usage error (argparse), 3 a path that is missing or
+cannot be opened, or a missing optional dependency, 4 invalid data (a file of
+the wrong container kind included) or configuration, 5 solver failure.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
-from .beamform import BModeImage, RfImage, compound, envelope, export_png, log_compress
+from .beamform import RfImage, compound, das_beamform, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config, solver_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
@@ -116,19 +119,14 @@ def _cmd_simulate(args):
 
 def _cmd_das(args):
     cfg = load_run_config(args.config)
-    ch = read_container(args.channel)
-    from .beamform import das_beamform
-
+    ch = read_container(args.channel, "channel")
     img = das_beamform(ch, cfg.grid, cfg.apodization)
     write_container(img, args.out)
     return EXIT_OK
 
 
 def _cmd_compound(args):
-    images = [read_container(p) for p in args.inputs]
-    for img in images:
-        if not isinstance(img, RfImage):
-            raise ContainerError("compound expects rfimage containers")
+    images = [read_container(p, "rfimage") for p in args.inputs]
     write_container(compound(images), args.out)
     return EXIT_OK
 
@@ -142,9 +140,9 @@ def _cmd_solve(args):
     elif args.mode:
         scfg = replace(scfg, **mode_fields(mode, vars(scfg)))
 
-    ch = read_container(args.channel) if args.channel else None
-    y_das = read_container(args.das) if args.das else None
-    psf = read_container(args.psf) if args.psf else None
+    ch = read_container(args.channel, "channel") if args.channel else None
+    y_das = read_container(args.das, "rfimage") if args.das else None
+    psf = read_container(args.psf, "psf") if args.psf else None
     report = pipeline.run_reconstruction(
         replace(cfg, solver=scfg), None, ch, psf=psf, y_das=y_das
     )
@@ -168,10 +166,8 @@ def _parse_disc(text):
 
 def _cmd_metrics(args):
     cfg = load_run_config(args.config)
-    image = read_container(args.image)
-    if not isinstance(image, RfImage):
-        raise ContainerError("metrics expects an rfimage container")
-    reference = read_container(args.reference) if args.reference else None
+    image = read_container(args.image, "rfimage")
+    reference = read_container(args.reference, "rfimage") if args.reference else None
     if bool(args.roi) != bool(args.background):
         missing = "--background" if args.roi else "--roi"
         raise ConfigError("metrics needs both discs; %s is missing" % missing)
@@ -183,7 +179,7 @@ def _cmd_metrics(args):
     else:
         if not args.phantom:
             raise ConfigError("metrics needs --phantom or explicit --roi/--background")
-        phantom = read_container(args.phantom)
+        phantom = read_container(args.phantom, "phantom")
         if args.kind:
             cfg.metrics["kind"] = args.kind
         report = pipeline.measure(cfg, phantom, image, reference=reference)
@@ -198,11 +194,9 @@ def _cmd_metrics(args):
 
 
 def _cmd_export_png(args):
-    obj = read_container(args.input)
+    obj = read_container(args.input, "rfimage", "bmode")
     if isinstance(obj, RfImage):
         obj = log_compress(envelope(obj), args.dynamic_range)
-    if not isinstance(obj, BModeImage):
-        raise ContainerError("export-png expects an rfimage or bmode container")
     export_png(obj, args.out)
     return EXIT_OK
 
@@ -222,7 +216,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
+    except OSError as err:  # a path that is missing or cannot be opened
         print("error: %s" % err, file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (ContainerError, ConfigError, ValueError) as err:

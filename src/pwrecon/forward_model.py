@@ -278,12 +278,12 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     )
 
 
-def suggest_time_window(probe, grid, tx, guard=2):
+def suggest_time_window(probe, grid, tx):
     """Start offset and sample count covering every pixel-element delay.
 
     Returns (t0_offset, num_samples) such that all round-trip delays over
-    the grid fall inside the acquisition window with ``guard`` spare samples
-    on each side. A steered transmit can open the window before t = 0.
+    the grid fall inside the acquisition window with two spare samples on
+    each side. A steered transmit can open the window before t = 0.
     """
     x = grid.x_positions
     elems = probe.element_positions
@@ -297,8 +297,8 @@ def suggest_time_window(probe, grid, tx, guard=2):
     lo = min(float(t.min()) for t in taus)
     hi = max(float(t.max()) for t in taus)
     fs = probe.sampling_freq
-    t0 = np.floor(lo * fs - guard) / fs
-    num = int(np.ceil((hi - t0) * fs)) + 1 + guard
+    t0 = np.floor(lo * fs - 2) / fs
+    num = int(np.ceil((hi - t0) * fs)) + 3  # the last delay's sample and 2 spare
     return t0, num
 
 
@@ -314,12 +314,9 @@ def load_matrix(path):
 
     The fingerprint is re-derived from the stored geometry and checked.
     """
-    from .io import StructureError, read_container
+    from .io import read_container
 
-    model = read_container(path)
-    if not isinstance(model, SparseSystemMatrix):
-        raise StructureError("%s does not hold a system matrix" % path)
-    return model
+    return read_container(path, "matrix")
 
 
 def cached_system_matrix(probe, grid, tx, num_samples, apod, cache_dir=None):

@@ -8,14 +8,16 @@ Container layout (all integers little-endian):
       count u64 | count values of the array's dtype
 
 The metadata JSON carries dims and the geometry dataclasses as dicts
-(``dataclasses.asdict``), enough to rebuild the typed object. A system
-matrix is the "matrix" kind: its CSR arrays plus a geometry fingerprint
-that is re-derived and checked on every read.
+(``dataclasses.asdict``), enough to rebuild the typed object; ``_KINDS``
+describes each float kind once. A system matrix is the "matrix" kind: its
+CSR arrays plus a geometry fingerprint that is re-derived and checked on
+every read. A reader names the kinds it accepts and refuses any other.
 Writes are atomic (write to a temp file, then rename).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -53,17 +55,24 @@ __all__ = [
 CONTAINER_MAGIC = b"USJD"
 CONTAINER_VERSION = 1
 
-# kind -> dtypes of its payload arrays, in file order
-PAYLOADS = {
-    "channel": ("<f4",),
-    "rfimage": ("<f4",),
-    "bmode": ("<f4",),
-    "psf": ("<f4",),
-    "phantom": ("<f4",),
-    "matrix": ("<i8", "<i4", "<f8"),  # CSR row pointers, column indices, weights
+_ANNOTATION_TYPES = {"point": PointTarget, "cyst": CystRegion}
+
+# float kind -> (class, payload attribute, {metadata attribute: rebuilder});
+# a rebuilder is a dataclass stored as a dict, None for a value stored as
+# is, or a tag -> dataclass table for a list of tagged dataclasses
+_KINDS = {
+    "channel": (ChannelData, "samples", {"probe": ProbeGeometry, "tx": PlaneWaveTx}),
+    "rfimage": (RfImage, "data", {"grid": ImagingGrid}),
+    "bmode": (BModeImage, "data", {"grid": ImagingGrid, "dynamic_range": None}),
+    "psf": (Psf, "kernel", {"dz": None, "dx": None}),
+    "phantom": (Phantom, "trf", {"grid": ImagingGrid, "annotations": _ANNOTATION_TYPES}),
 }
 
-_ANNOTATION_TYPES = {"point": PointTarget, "cyst": CystRegion}
+# kind -> dtypes of its payload arrays, in file order
+PAYLOADS = {
+    **{kind: ("<f4",) for kind in _KINDS},
+    "matrix": ("<i8", "<i4", "<f8"),  # CSR row pointers, column indices, weights
+}
 
 
 class ContainerError(ValueError):
@@ -86,16 +95,21 @@ class StructureError(ContainerError):
     pass
 
 
-def _annotation_meta(ann):
-    for tag, cls in _ANNOTATION_TYPES.items():
-        if isinstance(ann, cls):
-            return {"type": tag, **asdict(ann)}
-    raise TypeError("unknown annotation type %r" % type(ann))
+def _to_meta(value, rebuild):
+    if rebuild is None:
+        return value
+    if isinstance(rebuild, dict):  # list of tagged dataclasses
+        tags = {cls: tag for tag, cls in rebuild.items()}
+        return [{"type": tags[type(v)], **asdict(v)} for v in value]
+    return asdict(value)
 
 
-def _annotation_from_meta(d):
-    d = dict(d)
-    return _ANNOTATION_TYPES[d.pop("type")](**d)
+def _from_meta(value, rebuild):
+    if rebuild is None:
+        return value
+    if isinstance(rebuild, dict):  # list of tagged dataclasses
+        return [_from_meta(d, rebuild[d.pop("type")]) for d in map(dict, value)]
+    return rebuild(**value)
 
 
 def _encode(obj):
@@ -110,33 +124,11 @@ def _encode(obj):
             ),
         }
         return "matrix", meta, (mat.indptr, mat.indices, mat.data)
-    if isinstance(obj, ChannelData):
-        meta = {
-            "dims": list(obj.samples.shape),
-            "probe": asdict(obj.probe),
-            "tx": asdict(obj.tx),
-        }
-        return "channel", meta, (obj.samples,)
-    if isinstance(obj, BModeImage):
-        meta = {
-            "dims": list(obj.data.shape),
-            "grid": asdict(obj.grid),
-            "dynamic_range": obj.dynamic_range,
-        }
-        return "bmode", meta, (obj.data,)
-    if isinstance(obj, RfImage):
-        meta = {"dims": list(obj.data.shape), "grid": asdict(obj.grid)}
-        return "rfimage", meta, (obj.data,)
-    if isinstance(obj, Psf):
-        meta = {"dims": list(obj.kernel.shape), "dz": obj.dz, "dx": obj.dx}
-        return "psf", meta, (obj.kernel,)
-    if isinstance(obj, Phantom):
-        meta = {
-            "dims": list(obj.trf.shape),
-            "grid": asdict(obj.grid),
-            "annotations": [_annotation_meta(a) for a in obj.annotations],
-        }
-        return "phantom", meta, (obj.trf,)
+    for kind, (cls, attr, fields) in _KINDS.items():
+        if isinstance(obj, cls):
+            data = getattr(obj, attr)
+            meta = {k: _to_meta(getattr(obj, k), rb) for k, rb in fields.items()}
+            return kind, {"dims": list(data.shape), **meta}, (data,)
     raise TypeError("cannot serialize object of type %r" % type(obj).__name__)
 
 
@@ -172,28 +164,9 @@ def _decode(kind, meta, arrays):
         raise ValueError(
             "payload length %d does not match dims %s" % (payload.size, dims)
         )
-    data = payload.astype(np.float64).reshape(dims)
-    if kind == "channel":
-        return ChannelData(
-            samples=data,
-            tx=PlaneWaveTx(**meta["tx"]),
-            probe=ProbeGeometry(**meta["probe"]),
-        )
-    if kind == "rfimage":
-        return RfImage(data=data, grid=ImagingGrid(**meta["grid"]))
-    if kind == "bmode":
-        return BModeImage(
-            data=data,
-            grid=ImagingGrid(**meta["grid"]),
-            dynamic_range=meta["dynamic_range"],
-        )
-    if kind == "psf":
-        return Psf(kernel=data, dz=meta["dz"], dx=meta["dx"])
-    return Phantom(
-        trf=data,
-        grid=ImagingGrid(**meta["grid"]),
-        annotations=[_annotation_from_meta(a) for a in meta["annotations"]],
-    )
+    cls, attr, fields = _KINDS[kind]
+    attrs = {k: _from_meta(meta[k], rb) for k, rb in fields.items()}
+    return cls(**{attr: payload.astype(np.float64).reshape(dims)}, **attrs)
 
 
 def write_container(obj, path):
@@ -202,17 +175,22 @@ def write_container(obj, path):
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     kind_bytes = kind.encode("ascii")
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CONTAINER_MAGIC)
-        f.write(struct.pack("<HB", CONTAINER_VERSION, len(kind_bytes)))
-        f.write(kind_bytes)
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        for array, dtype in zip(arrays, PAYLOADS[kind]):
-            array = np.ascontiguousarray(array, dtype=dtype)
-            f.write(struct.pack("<Q", array.size))
-            f.write(array.tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CONTAINER_MAGIC)
+            f.write(struct.pack("<HB", CONTAINER_VERSION, len(kind_bytes)))
+            f.write(kind_bytes)
+            f.write(struct.pack("<I", len(meta_bytes)))
+            f.write(meta_bytes)
+            for array, dtype in zip(arrays, PAYLOADS[kind]):
+                array = np.ascontiguousarray(array, dtype=dtype)
+                f.write(struct.pack("<Q", array.size))
+                f.write(array.tobytes())
+        os.replace(tmp, path)
+    except BaseException:  # leave no temp file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, n, path, what):
@@ -229,8 +207,9 @@ def _read_exact(f, n, path, what):
     return buf
 
 
-def read_container(path):
-    """Read a container file back into its typed object."""
+def read_container(path, *kinds):
+    """Read a container file back into its typed object; with ``kinds``
+    given, a file of another kind raises StructureError before its body."""
     with open(path, "rb") as f:
         magic = bytes(_read_exact(f, 4, path, "magic"))
         if magic != CONTAINER_MAGIC:
@@ -244,6 +223,10 @@ def read_container(path):
         kind = _read_exact(f, kind_len, path, "kind").decode("ascii", "replace")
         if kind not in PAYLOADS:
             raise StructureError("%s: unknown kind %r" % (path, kind))
+        if kinds and kind not in kinds:
+            raise StructureError(
+                "%s holds a %s container, expected %s" % (path, kind, " or ".join(kinds))
+            )
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata length"))
         meta_bytes = _read_exact(f, meta_len, path, "metadata")
         try:

@@ -89,21 +89,20 @@ def _half_crossing(profile, peak_idx, half, step):
         j = nxt
 
 
-def fwhm(env, target, axis, search_halfwidth=5):
+def fwhm(env, target, axis):
     """Full width at half maximum of a point target, in millimeters.
 
     Extracts the 1-D profile through the target along ``axis`` ("axial" or
-    "lateral"), snaps the target to the local maximum within
-    ``search_halfwidth`` pixels, and interpolates the two half-max
-    crossings linearly.
+    "lateral"), snaps the target to the local maximum within 5 pixels, and
+    interpolates the two half-max crossings linearly.
     """
     iz, ix = target
     data = env.data
     if not (0 <= iz < data.shape[0] and 0 <= ix < data.shape[1]):
         raise ValueError("target lies outside the image")
     # snap to the local peak near the nominal location
-    z_lo, z_hi = max(iz - search_halfwidth, 0), min(iz + search_halfwidth + 1, data.shape[0])
-    x_lo, x_hi = max(ix - search_halfwidth, 0), min(ix + search_halfwidth + 1, data.shape[1])
+    z_lo, z_hi = max(iz - 5, 0), min(iz + 6, data.shape[0])
+    x_lo, x_hi = max(ix - 5, 0), min(ix + 6, data.shape[1])
     patch = data[z_lo:z_hi, x_lo:x_hi]
     pz, px = np.unravel_index(np.argmax(patch), patch.shape)
     iz, ix = z_lo + pz, x_lo + px

@@ -15,6 +15,7 @@ from .acquisition import (
 from .beamform import das_beamform, envelope, log_compress
 from .config import ConfigError
 from .forward_model import cached_system_matrix
+from .io import read_container
 from .metrics import (
     MetricsReport,
     annulus_mask,
@@ -114,13 +115,13 @@ def reference_das(model, ch):
     return das_beamform(ch, model.grid, model.apodization)
 
 
-def psf_from_model(model, pre_blur=None, threshold=5e-3, max_half=(20, 16)):
+def psf_from_model(model, pre_blur=None):
     """Empirical system kernel: the beamformed image of a centered impulse.
 
     The impulse (optionally blurred by the same pulse kernel the phantom
     uses, so the estimate contains the pulse) is pushed through the forward
     model and delay-and-sum, cropped to the centered box where the response
-    exceeds ``threshold`` of its peak (capped at ``max_half`` half-widths),
+    exceeds 5e-3 of its peak (at most 20 axial and 16 lateral half-widths),
     and normalized to unit peak. This is the blur that actually relates the
     reflectivity map to the delay-and-sum image under the linear model;
     reconstructing with it instead of a parametric kernel removes the
@@ -138,19 +139,19 @@ def psf_from_model(model, pre_blur=None, threshold=5e-3, max_half=(20, 16)):
     peak = np.abs(img).max()
     if peak <= 0:
         raise ValueError("impulse response is identically zero")
-    strong = np.abs(img) > threshold * peak
+    strong = np.abs(img) > 5e-3 * peak
     rows = np.where(strong.any(axis=1))[0]
     cols = np.where(strong.any(axis=0))[0]
     half_z = int(max(ciz - rows.min(), rows.max() - ciz))
     half_x = int(max(cix - cols.min(), cols.max() - cix))
-    half_z = min(max(half_z, 1), max_half[0], ciz - 1, grid.nz - ciz - 2)
-    half_x = min(max(half_x, 1), max_half[1], cix - 1, grid.nx - cix - 2)
+    half_z = min(max(half_z, 1), 20, ciz - 1, grid.nz - ciz - 2)
+    half_x = min(max(half_x, 1), 16, cix - 1, grid.nx - cix - 2)
     kernel = img[ciz - half_z : ciz + half_z + 1, cix - half_x : cix + half_x + 1]
     kernel = kernel / img[ciz, cix]
     return Psf(kernel=kernel, dz=grid.dz, dx=grid.dx)
 
 
-def resolve_psf(cfg, model=None, reader=None):
+def resolve_psf(cfg, model=None):
     """Kernel selected by the run config: empirical, parametric, or file."""
     spec = cfg.psf
     kind = spec.get("type", "model")
@@ -161,12 +162,7 @@ def resolve_psf(cfg, model=None, reader=None):
     if kind == "parametric":
         return _parametric_psf(cfg, spec, lateral_sigma=1.0)
     if kind == "file":
-        if reader is None:
-            from .io import read_container as reader
-        obj = reader(spec["path"])
-        if not isinstance(obj, Psf):
-            raise ConfigError("psf file %s does not hold a PSF" % spec["path"])
-        return obj
+        return read_container(spec["path"], "psf")
     raise ConfigError("unknown psf type %r" % kind)
 
 

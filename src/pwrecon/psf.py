@@ -35,10 +35,6 @@ class Psf:
         if np.max(np.abs(self.kernel)) <= 0:
             raise ValueError("kernel must be nonzero")
 
-    @property
-    def half_shape(self):
-        return (self.kernel.shape[0] // 2, self.kernel.shape[1] // 2)
-
     def transfer_function(self, shape):
         """2-D spectrum of the kernel embedded centered-at-origin in ``shape``."""
         key = tuple(shape)

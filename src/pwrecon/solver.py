@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .acquisition import ChannelData
 from .beamform import RfImage
 from .psf import conv_apply, deconv_update
 
@@ -357,7 +358,7 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     y_das_arr = _as_array(y_das)
     if y_das_arr is not None and y_das_arr.shape != shape:
         raise ValueError("reference image shape does not match grid")
-    if hasattr(y_ch, "to_vector"):
+    if isinstance(y_ch, ChannelData):
         if model is not None:
             _check_geometry(y_ch, model)
         y_ch_vec = y_ch.to_vector()

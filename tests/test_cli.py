@@ -10,6 +10,7 @@ import pytest
 
 from pwrecon import (
     ImagingGrid,
+    Psf,
     RfImage,
     load_matrix,
     read_container,
@@ -274,6 +275,73 @@ class TestCliErrors:
             assert cfg.grid.num_pixels > 0
             doc = get_builtin_config(name)
             assert doc["solver"]["mode"] == "joint"
+
+
+
+# ch, ph, rf and psf stand for channel, phantom, rfimage and psf containers
+_DISCS = ["--roi", "0.0035,0.0,0.0005", "--background", "0.0045,0.0,0.0005"]
+_WRONG_KIND_READS = {
+    "solve --channel": (["solve", "--channel", "rf", "--out", "o"], "channel"),
+    "solve --das": (["solve", "--channel", "ch", "--das", "ch", "--out", "o"], "rfimage"),
+    "solve --psf": (["solve", "--channel", "ch", "--psf", "rf", "--out", "o"], "psf"),
+    "das --channel": (["das", "--channel", "rf", "--out", "o"], "channel"),
+    "metrics --phantom": (["metrics", "--image", "rf", "--phantom", "rf"], "phantom"),
+    "metrics --reference, cyst": (
+        ["metrics", "--image", "rf", "--phantom", "ph", "--kind", "cyst",
+         "--reference", "ch"],
+        "rfimage",
+    ),
+    "metrics --reference, discs": (
+        ["metrics", "--image", "rf", *_DISCS, "--reference", "psf"], "rfimage"
+    ),
+    "metrics --reference, point": (
+        ["metrics", "--image", "rf", "--phantom", "ph", "--kind", "point",
+         "--reference", "ch"],
+        "rfimage",
+    ),
+}
+
+
+class TestWrongKind:
+    """Each input flag reads the container kind it names; another kind exits 4."""
+
+    @pytest.mark.parametrize("case", sorted(_WRONG_KIND_READS))
+    def test_wrong_kind_exits_4_naming_it(self, small_config, tmp_path, capsys, case):
+        files = {n: tmp_path / ("%s.usjd" % n) for n in ("ch", "ph", "rf", "psf", "o")}
+        main([
+            "simulate", "--config", str(small_config), "--out", str(files["ch"]),
+            "--phantom-out", str(files["ph"]),
+        ])
+        main([
+            "das", "--config", str(small_config), "--channel", str(files["ch"]),
+            "--out", str(files["rf"]),
+        ])
+        write_container(Psf(kernel=np.ones((3, 3))), files["psf"])
+        capsys.readouterr()
+        argv, kind = _WRONG_KIND_READS[case]
+        argv = [str(files.get(a, a)) for a in argv]
+        code = main([argv[0], "--config", str(small_config), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "container, expected %s" % kind in err
+        assert len(err.splitlines()) == 1
+
+
+class TestUnopenablePaths:
+    """A path that cannot be opened exits 3 with one line and leaves no temp file."""
+
+    @pytest.mark.parametrize("flag", ["--channel", "--config", "--out"])
+    def test_directory_exits_3(self, small_config, tmp_path, capsys, flag):
+        ch = tmp_path / "ch.usjd"
+        main(["simulate", "--config", str(small_config), "--out", str(ch)])
+        capsys.readouterr()
+        args = {"--config": small_config, "--channel": ch, "--out": tmp_path / "das.usjd"}
+        args[flag] = tmp_path / "dir"
+        args[flag].mkdir()
+        code = main(["das", *[str(v) for item in args.items() for v in item]])
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSequentialComputesNoDas:

@@ -3,6 +3,7 @@
 import json
 import struct
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from pwrecon import (
     PointTarget,
     Psf,
     RfImage,
+    load_matrix,
+    load_run_config,
     make_point_phantom,
     read_container,
     write_container,
@@ -32,6 +35,7 @@ from pwrecon.io import (
     VersionMismatchError,
     ingest_picmus,
 )
+from pwrecon.pipeline import resolve_psf
 
 
 class TestContainerRoundTrip:
@@ -215,6 +219,86 @@ class TestContainerProperties:
         path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
         with pytest.raises(ContainerError):
             read_container(path)
+
+
+def _pinned_meta(kind, obj):
+    """The metadata each kind writes, keys listed by hand."""
+    if kind == "matrix":
+        return {
+            "dims": list(obj.matrix.shape),
+            "fingerprint": obj.fingerprint,
+            "probe": asdict(obj.probe),
+            "grid": asdict(obj.grid),
+            "tx": asdict(obj.tx),
+            "apodization": asdict(obj.apodization),
+            "num_samples": obj.num_time_samples,
+        }
+    if kind == "channel":
+        return {"dims": list(obj.samples.shape), "probe": asdict(obj.probe),
+                "tx": asdict(obj.tx)}
+    if kind == "rfimage":
+        return {"dims": list(obj.data.shape), "grid": asdict(obj.grid)}
+    if kind == "bmode":
+        return {"dims": list(obj.data.shape), "grid": asdict(obj.grid),
+                "dynamic_range": obj.dynamic_range}
+    if kind == "psf":
+        return {"dims": list(obj.kernel.shape), "dz": obj.dz, "dx": obj.dx}
+    point, cyst = obj.annotations
+    return {"dims": list(obj.trf.shape), "grid": asdict(obj.grid),
+            "annotations": [{"type": "point", **asdict(point)},
+                            {"type": "cyst", **asdict(cyst)}]}
+
+
+def _pinned_payloads(kind, obj):
+    if kind == "matrix":
+        m = obj.matrix
+        return [(m.indptr, "<i8"), (m.indices, "<i4"), (m.data, "<f8")]
+    attr = {"channel": "samples", "psf": "kernel", "phantom": "trf"}.get(kind, "data")
+    return [(getattr(obj, attr), "<f4")]
+
+
+class TestPinnedFormat:
+    """Each kind writes exactly the bytes the format description gives."""
+
+    @pytest.mark.parametrize(
+        "kind", ["channel", "rfimage", "bmode", "psf", "phantom", "matrix"]
+    )
+    def test_written_bytes(self, tiny_instance, tmp_path, kind):
+        obj = _sample(kind, 3, 4, 5, 0.25, tiny_instance)
+        meta = json.dumps(_pinned_meta(kind, obj), sort_keys=True).encode("utf-8")
+        expected = (
+            b"USJD" + struct.pack("<HB", 1, len(kind)) + kind.encode("ascii")
+            + struct.pack("<I", len(meta)) + meta
+        )
+        for array, dtype in _pinned_payloads(kind, obj):
+            values = np.ascontiguousarray(array, dtype=dtype)
+            expected += struct.pack("<Q", values.size) + values.tobytes()
+        path = tmp_path / "obj.usjd"
+        write_container(obj, path)
+        assert path.read_bytes() == expected
+
+
+class TestExpectedKinds:
+    @pytest.fixture()
+    def rfimage_file(self, tiny_grid, rng, tmp_path):
+        path = tmp_path / "img.usjd"
+        write_container(RfImage(rng.standard_normal(tiny_grid.shape), tiny_grid), path)
+        return path
+
+    def test_other_kind_is_refused_naming_both(self, rfimage_file):
+        assert isinstance(read_container(rfimage_file, "bmode", "rfimage"), RfImage)
+        with pytest.raises(StructureError, match="holds a rfimage container, expected psf or"):
+            read_container(rfimage_file, "psf", "bmode")
+
+    def test_load_matrix_refuses_an_image(self, rfimage_file):
+        with pytest.raises(StructureError, match="expected matrix"):
+            load_matrix(rfimage_file)
+
+    def test_psf_file_holding_an_image_is_a_container_error(self, rfimage_file):
+        cfg = load_run_config("builtin:desk_point")
+        cfg = replace(cfg, psf={"type": "file", "path": str(rfimage_file)})
+        with pytest.raises(ContainerError, match="expected psf"):
+            resolve_psf(cfg)
 
 
 def make_picmus_file(path, num_angles=5, num_elements=16, num_samples=64,

@@ -6,12 +6,22 @@ crashes instead of a test failing."""
 import functools
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from pwrecon import InnerSettings, Psf, SolverConfig, beamform_update, solve
+from pwrecon import (
+    InnerSettings,
+    Psf,
+    RfImage,
+    SolverConfig,
+    beamform_update,
+    read_container,
+    solve,
+    write_container,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "pwbench" / "spans.py"
 
@@ -67,3 +77,13 @@ def test_solve_iteration_hook_counts_both_sequential_stages(covered_instance):
     attrs, report = _hook("solver.solve", solve, (cfg,), kwargs)
     assert len(report.stages) == 2
     assert attrs == {"outer": sum(stage.iterations for stage in report.stages)}
+
+
+def test_file_size_hooks_on_a_container_write_and_read(tiny_grid, tmp_path):
+    path = str(tmp_path / "img.usjd")
+    image = RfImage(np.ones(tiny_grid.shape), tiny_grid)
+    attrs, _ = _hook("io.write", write_container, (image, path), {})
+    assert attrs == {"bytes": os.path.getsize(path)}
+    attrs, back = _hook("io.read", read_container, (path, "rfimage"), {})
+    assert attrs == {"bytes": os.path.getsize(path)}
+    assert isinstance(back, RfImage)

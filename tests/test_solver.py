@@ -460,6 +460,14 @@ class TestChannelGeometry:
         report = self._solve(covered_instance, rng, center_freq=fs / 4.0)
         assert np.all(np.isfinite(report.result.data))
 
+    def test_image_passed_as_channel_data_fails_on_length(self, covered_instance, rng):
+        # an RfImage is no ChannelData: it is read as a flat vector of pixels
+        grid = covered_instance["grid"]
+        image = RfImage(rng.standard_normal(grid.shape), grid)
+        cfg = SolverConfig(gamma_d=0.0, mode="beamform_only", max_iter=3)
+        with pytest.raises(ValueError, match="channel vector length"):
+            solve(cfg, model=covered_instance["model"], y_ch=image)
+
 
 class TestInnerOutcomes:
     def _channel_solve(self, covered_instance, rng, inner):
