@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -170,7 +171,13 @@ class SparseSystemMatrix:
                 "expected channel vector of length %d, got shape %s"
                 % (self.num_rows, y.shape)
             )
-        return self.matrix.T @ y
+        return self._transpose @ y
+
+    @cached_property
+    def _transpose(self):
+        # a CSC view of the CSR arrays (no copy); ``.T`` would rebuild and
+        # re-check it on every product
+        return self.matrix.T
 
 
 def matrix_geometry(probe, grid, tx, num_samples, apod):

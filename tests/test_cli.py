@@ -91,6 +91,8 @@ class TestPipelineComposition:
         rep = json.loads(report.read_text())
         assert rep["mode"] == "joint"
         assert rep["iterations"] >= 1
+        assert len(rep["dual_residuals"]) == rep["iterations"]
+        assert rep["forward_products"] > 0 and rep["adjoint_products"] > 0
 
         metrics = tmp_path / "metrics.json"
         assert main([

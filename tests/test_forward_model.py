@@ -234,6 +234,15 @@ class TestProducts:
         row = model.apply_adjoint(e)
         assert np.array_equal(row, model.matrix.toarray()[r, :])
 
+    def test_adjoint_view_is_built_once_on_the_same_arrays(self, tiny_instance, rng):
+        model = tiny_instance["model"]
+        y = rng.standard_normal(model.num_rows)
+        assert np.array_equal(model.apply_adjoint(y), model.matrix.T @ y)
+        view = model._transpose
+        assert model._transpose is view
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, part), getattr(model.matrix, part))
+
     def test_forward_matches_dense_product(self, tiny_instance, rng):
         model = tiny_instance["model"]
         dense = model.matrix.toarray()

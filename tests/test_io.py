@@ -187,7 +187,7 @@ def _assert_same(back, obj):
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(other, part), getattr(value, part))
             assert other.shape == value.shape
-        elif name != "_tf_cache":
+        elif name not in ("_tf_cache", "_transpose"):
             assert other == value
 
 

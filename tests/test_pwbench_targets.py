@@ -11,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from pwrecon import (
     InnerSettings,
@@ -62,6 +63,50 @@ def test_inner_iteration_hook_on_a_capped_update(covered_instance):
     inner = InnerSettings(max_iter=1, tol=1e-14)
     attrs, _ = _hook("solver.beamform_update", beamform_update, args, {"inner": inner})
     assert attrs == {"inner": 1, "capped": 1}
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [InnerSettings(), InnerSettings(max_iter=1, tol=1e-14)],
+    ids=["uncapped", "capped"],
+)
+def test_inner_iteration_hook_on_updates_given_earlier_solutions(
+    covered_instance, monkeypatch, inner
+):
+    # run the hook on every z update of a solve, the way a traced run wraps
+    # the module attribute; each update after the first receives the solve's
+    # earlier solutions to start from
+    from pwrecon import solver as solver_mod
+
+    update = solver_mod.beamform_update
+    received, spans = [], []
+
+    def traced(*args, **kwargs):
+        received.append(len(kwargs["history"]))
+        span = SimpleNamespace(attrs=None)
+        result = update(*args, **kwargs)
+        _load_spans()._HOOKS["solver.beamform_update"](span, update, args, kwargs, result)
+        spans.append(span.attrs)
+        return result
+
+    monkeypatch.setattr(solver_mod, "beamform_update", traced)
+    model = covered_instance["model"]
+    rng = np.random.default_rng(1)
+    cfg = SolverConfig(
+        gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, max_iter=6, epsilon=1e-12,
+        mode="beamform_only", inner=inner,
+    )
+    report = solve(
+        cfg,
+        model=model,
+        y_ch=rng.standard_normal(model.num_rows),
+        x0=rng.standard_normal(covered_instance["grid"].shape),
+    )
+    assert report.iterations == 6
+    assert min(received[1:]) > 0
+    assert [s["inner"] for s in spans] == report.state.inner_iterations
+    assert sum(s["capped"] for s in spans) == report.state.inner_capped
+    assert report.state.inner_capped == (6 if inner.max_iter == 1 else 0)
 
 
 def test_solve_iteration_hook_counts_both_sequential_stages(covered_instance):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwrecon import (
     InnerSettings,
@@ -417,6 +419,46 @@ class TestSolve:
         assert len(doc["objective_history"]) == report.iterations + 1
         assert "wall_time_s" in doc["timing"]
 
+    def test_dual_residuals_and_products_are_recorded(
+        self, covered_instance, rng, monkeypatch
+    ):
+        from pwrecon.forward_model import SparseSystemMatrix
+
+        calls = {"apply": 0, "apply_adjoint": 0}
+        for name in calls:
+            product = getattr(SparseSystemMatrix, name)
+
+            def counted(self, v, _name=name, _product=product):
+                calls[_name] += 1
+                return _product(self, v)
+
+            monkeypatch.setattr(SparseSystemMatrix, name, counted)
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        psf = make_psf(rng)
+        x0 = rng.standard_normal(grid.shape)
+        args = dict(
+            model=model, y_ch=rng.standard_normal(model.num_rows), psf=psf,
+            y_das=rng.standard_normal(grid.shape), x0=x0,
+        )
+        cfg = SolverConfig(gamma_d=1.0, gamma_b=0.2, mu=0.01, beta=2.0, max_iter=1)
+        first = solve(cfg, **args)
+        init = x0 / first.scale
+        (dual,) = first.state.dual_residuals
+        # beta ||z_1 - z_0|| and beta ||w_1 - w_0||, beta = 2
+        expected = [2.0 * np.linalg.norm(v - init) for v in (first.state.z, first.state.w)]
+        np.testing.assert_allclose(dual, expected, rtol=1e-12)
+        assert (first.state.forward_products, first.state.adjoint_products) == (
+            calls["apply"], calls["apply_adjoint"],
+        )
+        calls.update(apply=0, apply_adjoint=0)
+        report = solve(replace(cfg, max_iter=8), **args)
+        doc = report.to_json_dict()
+        assert len(doc["dual_residuals"]) == report.iterations
+        assert (doc["forward_products"], doc["adjoint_products"]) == (
+            calls["apply"], calls["apply_adjoint"],
+        )
+
 
 class TestChannelGeometry:
     """Channel data must be recorded with the geometry the system matrix models."""
@@ -505,10 +547,12 @@ class TestInnerOutcomes:
         monkeypatch.setattr(SparseSystemMatrix, "apply_adjoint", counted)
         report = self._channel_solve(covered_instance, rng, InnerSettings())
         assert report.state.inner_capped == 0
-        # an uncapped CR solve takes one adjoint for its start residual and
-        # one per step; Phi^T y is taken once for the whole solve
+        # an uncapped CR solve takes one adjoint per step: its start residual
+        # comes from the earlier solutions (from zero, it is the right-hand
+        # side); Phi^T y is taken once for the whole solve
         steps = report.state.inner_iterations
-        assert len(calls) == 1 + report.iterations + sum(steps)
+        assert len(calls) == 1 + sum(steps)
+        assert report.state.adjoint_products == len(calls)
 
     def test_desk_point_has_no_capped_inner_solve(self):
         from pwrecon import pipeline
@@ -531,8 +575,150 @@ class TestConjugateResidual:
         spd = a @ a.T + n * np.eye(n)
         b = rng.standard_normal(n)
 
-        x, norms = _conjugate_residual(
+        x, r, norms = _conjugate_residual(
             lambda v: spd @ v, b, np.zeros(n), 1e-12, 500
         )
         np.testing.assert_allclose(spd @ x, b, rtol=1e-8, atol=1e-8)
         assert all(later <= earlier + 1e-12 for earlier, later in zip(norms, norms[1:]))
+        np.testing.assert_allclose(r, b - spd @ x, atol=1e-8)
+        assert norms[-1] == np.linalg.norm(r)
+
+    def test_given_start_residual_takes_no_product_for_it(self, rng):
+        n = 30
+        a = rng.standard_normal((n, n))
+        spd = a @ a.T + n * np.eye(n)
+        b = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        calls = []
+
+        def apply_a(v):
+            calls.append(1)
+            return spd @ v
+
+        cold = _conjugate_residual(apply_a, b, x0, 1e-10, 200)
+        cold_calls = len(calls)
+        calls.clear()
+        given = _conjugate_residual(apply_a, b, x0, 1e-10, 200, r0=b - spd @ x0)
+        assert len(calls) == cold_calls - 1
+        np.testing.assert_allclose(given[0], cold[0], rtol=1e-9, atol=1e-9)
+
+
+class TestRecycledStart:
+    """Each inner solve starts from the best combination of the last few z."""
+
+    @staticmethod
+    def _exit_residuals(monkeypatch, record, compare_cold=False):
+        """Patch the solver's z update to record, per call, how many earlier
+        solutions it received, the true residual at exit over its threshold,
+        the threshold, and (``compare_cold``) the distance to the z a cold
+        start from z0 reaches on the same right-hand side."""
+        from pwrecon import solver as solver_mod
+        from pwrecon.solver import _inner_threshold, _normal_rhs
+
+        update = solver_mod.beamform_update
+
+        def checked(model, y_ch, u, lam2, gamma_b, beta, inner, z0=None, **kw):
+            started_from = len(kw["history"])
+            z, norms = update(model, y_ch, u, lam2, gamma_b, beta, inner, z0, **kw)
+            b = _normal_rhs(kw["back_projection"], u, lam2, beta)
+            zv = z.reshape(-1, order="F")
+            phi = model.matrix  # products outside the ones the solve counts
+            true = b - (gamma_b * (phi.T @ (phi @ zv)) + beta * zv)
+            threshold = _inner_threshold(inner.tol, b)
+            gap = None
+            if compare_cold:
+                cold, _ = update(
+                    model, y_ch, u, lam2, gamma_b, beta, inner, z0,
+                    back_projection=kw["back_projection"],
+                )
+                gap = np.linalg.norm(z - cold)
+            record.append(
+                (started_from, np.linalg.norm(true) / threshold, threshold, gap)
+            )
+            return z, norms
+
+        monkeypatch.setattr(solver_mod, "beamform_update", checked)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gamma_d=st.sampled_from([0.0, 0.5, 1.0]),
+        gamma_b=st.floats(0.05, 2.0),
+        mu=st.floats(0.0, 0.1),
+        beta=st.floats(0.2, 5.0),
+        warm=st.booleans(),
+    )
+    def test_exit_residual_and_result_match_a_cold_start(
+        self, covered_instance, seed, gamma_d, gamma_b, mu, beta, warm
+    ):
+        from pwrecon import solver as solver_mod
+
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        rng = np.random.default_rng(seed)
+        psf = make_psf(rng)
+        y_ch = rng.standard_normal(model.num_rows)
+        y_das = rng.standard_normal(grid.shape)
+        x0 = rng.standard_normal(grid.shape) if warm else None
+        inner = InnerSettings(max_iter=400)  # no inner solve is capped
+        cfg = SolverConfig(
+            gamma_d=gamma_d, gamma_b=gamma_b, mu=mu, beta=beta, epsilon=1e-12,
+            max_iter=12, inner=inner,
+        )
+        args = dict(model=model, y_ch=y_ch, psf=psf, y_das=y_das, x0=x0)
+        record = []
+        with pytest.MonkeyPatch.context() as mp:
+            self._exit_residuals(mp, record, compare_cold=True)
+            recycled = solve(cfg, **args)
+        # each update starts from every earlier solution the depth keeps
+        assert [r[0] for r in record][1:] == [
+            min(k + int(warm), solver_mod._START_DEPTH) for k in range(1, len(record))
+        ]
+        assert max(r[1] for r in record) <= 1.0
+        # both starts end within threshold / beta of the exact z, since the
+        # normal matrix is at least beta I
+        assert all(gap <= 2 * threshold / beta for _, _, threshold, gap in record)
+        if gamma_d == 0.0:
+            # a single-term solve can stop at iteration 2 on an unchanged
+            # objective (ROADMAP item 1), so whole solves need not stop alike
+            return
+
+        update = solver_mod.beamform_update
+
+        def cold(*a, history, **kw):
+            return update(*a, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "beamform_update", cold)
+            reference = solve(cfg, **args)
+        assert reference.iterations == recycled.iterations == cfg.max_iter
+        # and both solves carry those errors through every later iteration
+        bound = 2 * cfg.max_iter * max(r[2] for r in record) / beta * recycled.scale
+        assert np.abs(recycled.result.data - reference.result.data).max() <= bound
+
+    def test_desk_point_joint_takes_fewer_products(self, monkeypatch):
+        from pwrecon import pipeline
+        from pwrecon.config import get_builtin_config, run_config_from_dict
+        from pwrecon.forward_model import SparseSystemMatrix
+
+        cfg = run_config_from_dict(get_builtin_config("desk_point"))
+        model = pipeline.build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        calls = []
+        for name in ("apply", "apply_adjoint"):
+            product = getattr(SparseSystemMatrix, name)
+
+            def counted(self, v, _product=product):
+                calls.append(1)
+                return _product(self, v)
+
+            monkeypatch.setattr(SparseSystemMatrix, name, counted)
+        record = []
+        self._exit_residuals(monkeypatch, record)
+        report = pipeline.run_reconstruction(cfg, model, ch)
+        # 1,012 products when every inner solve started cold from z_{k-1}
+        assert len(calls) <= 740
+        assert report.state.forward_products + report.state.adjoint_products == len(calls)
+        assert report.iterations == 28
+        assert report.converged
+        assert max(r[1] for r in record) <= 1.0
