@@ -26,7 +26,6 @@ __all__ = [
     "load_run_config",
     "builtin_config_names",
     "get_builtin_config",
-    "desk_sequential_config",
 ]
 
 
@@ -319,13 +318,6 @@ DESK_SEQUENTIAL = {
         "stage2": {"mode": "deconv_only", "gamma_d": 1.0, "beta": 24.0, "mu": 0.3},
     },
 }
-
-
-def desk_sequential_config(name):
-    """Sequential-mode SolverConfig matched to a bundled desk config."""
-    if name not in DESK_SEQUENTIAL:
-        raise ConfigError("no sequential preset for %r" % name)
-    return solver_config(DESK_SEQUENTIAL[name])
 
 
 def builtin_config_names():

@@ -144,8 +144,9 @@ def psf_from_model(model, pre_blur=None):
     cols = np.where(strong.any(axis=0))[0]
     half_z = int(max(ciz - rows.min(), rows.max() - ciz))
     half_x = int(max(cix - cols.min(), cols.max() - cix))
-    half_z = min(max(half_z, 1), 20, ciz - 1, grid.nz - ciz - 2)
-    half_x = min(max(half_x, 1), 16, cix - 1, grid.nx - cix - 2)
+    # an axis of one or two pixels keeps a one-pixel kernel along it
+    half_z = max(min(max(half_z, 1), 20, ciz - 1, grid.nz - ciz - 2), 0)
+    half_x = max(min(max(half_x, 1), 16, cix - 1, grid.nx - cix - 2), 0)
     kernel = img[ciz - half_z : ciz + half_z + 1, cix - half_x : cix + half_x + 1]
     kernel = kernel / img[ciz, cix]
     return Psf(kernel=kernel, dz=grid.dz, dx=grid.dx)
@@ -195,12 +196,7 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das, x0=x0)
 
 
-def _point_targets(phantom):
-    return [a for a in phantom.annotations if isinstance(a, PointTarget)]
-
-
-def _cyst_regions(phantom):
-    return [a for a in phantom.annotations if isinstance(a, CystRegion)]
+_TARGET_TYPES = {"point": PointTarget, "cyst": CystRegion}
 
 
 def measure(cfg, phantom, image, reference=None):
@@ -209,26 +205,29 @@ def measure(cfg, phantom, image, reference=None):
     Point phantoms: axial/lateral FWHM per target on the envelope. Cyst
     phantoms: CNR and gCNR per cyst on histogram-matched log-compressed
     images, with the reference (normally the delay-and-sum result) defining
-    the target intensity distribution.
+    the target intensity distribution. A kind whose targets the phantom
+    does not hold is a ConfigError.
     """
-    kind = cfg.metrics.get("kind") or (
-        "point" if _point_targets(phantom) else "cyst"
-    )
+    has_points = any(isinstance(a, PointTarget) for a in phantom.annotations)
+    kind = cfg.metrics.get("kind") or ("point" if has_points else "cyst")
+    if kind not in _TARGET_TYPES:
+        raise ConfigError("unknown metrics kind %r" % kind)
+    targets = [a for a in phantom.annotations if isinstance(a, _TARGET_TYPES[kind])]
+    if not targets:
+        raise ConfigError("metrics kind %r: the phantom has no %s target" % (kind, kind))
     if kind == "point":
         report = MetricsReport()
         env = envelope(image)
-        for target in _point_targets(phantom):
+        for target in targets:
             report.fwhm_axial_mm.append(fwhm(env, (target.iz, target.ix), "axial"))
             report.fwhm_lateral_mm.append(
                 fwhm(env, (target.iz, target.ix), "lateral")
             )
         return report
-    if kind != "cyst":
-        raise ConfigError("unknown metrics kind %r" % kind)
     roi_ratio = cfg.metrics.get("roi_ratio", 0.7)
     inner_ratio = cfg.metrics.get("background_inner_ratio", 1.2)
     regions = []
-    for cyst in _cyst_regions(phantom):
+    for cyst in targets:
         center = (cyst.z, cyst.x)
         roi_r = roi_ratio * cyst.radius
         bg_inner = inner_ratio * cyst.radius

@@ -218,15 +218,15 @@ def _inner_threshold(tol, b):
     return tol * (1.0 + float(np.linalg.norm(b)))
 
 
-def _conjugate_residual(apply_a, b, x0, tol, max_iter, r0=None):
+def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter):
     """Minimize ||b - A x|| over growing Krylov spaces (A symmetric PD).
 
-    ``r0`` is b - A x0 when the caller already holds it. Residual norms are
-    nonincreasing by construction. Returns the iterate, its recurrence
-    residual and the recorded residual-norm trace.
+    ``r0`` is the start residual b - A x0. Each recorded step takes one
+    product of A, and residual norms are nonincreasing by construction.
+    Returns the iterate, its recurrence residual and the recorded
+    residual-norm trace.
     """
-    x = x0.copy()
-    r = b - apply_a(x) if r0 is None else r0
+    x, r = x0, r0
     norms = [float(np.linalg.norm(r))]
     threshold = _inner_threshold(tol, b)
     if norms[-1] <= threshold:
@@ -235,7 +235,7 @@ def _conjugate_residual(apply_a, b, x0, tol, max_iter, r0=None):
     ar = apply_a(r)
     ap = ar.copy()
     r_ar = float(r @ ar)
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         ap_ap = float(ap @ ap)
         if ap_ap <= 0.0 or r_ar == 0.0:
             break
@@ -246,7 +246,7 @@ def _conjugate_residual(apply_a, b, x0, tol, max_iter, r0=None):
         if not np.isfinite(nr):
             raise SolverError("non-finite residual in inner solver", norms)
         norms.append(nr)
-        if nr <= threshold:
+        if nr <= threshold or step == max_iter:
             break
         ar = apply_a(r)
         r_ar_new = float(r @ ar)
@@ -283,17 +283,17 @@ def beamform_update(
 
         gamma_b/2 ||y_ch - Phi z||^2 + beta/2 ||u - z + lam2/beta||^2.
 
-    Solved on the normal equations (gamma_b Phi^T Phi + beta I) z = rhs to
-    the inner gradient tolerance, warm-started from ``z0``. With
-    gamma_b = 0 the exact proximal point u + lam2/beta is returned.
-    ``back_projection`` is gamma_b Phi^T y_ch when the caller already holds
-    it; it does not change across outer iterations.
+    Solved on the normal equations A z = rhs, A = gamma_b Phi^T Phi + beta I,
+    to the inner gradient tolerance. With gamma_b = 0 the exact proximal
+    point u + lam2/beta is returned. ``back_projection`` is
+    gamma_b Phi^T y_ch when the caller already holds it; it does not change
+    across outer iterations.
 
-    ``history`` is a deque of (z_j, A z_j) pairs from earlier solves of the
-    same normal matrix A. When given, the solve starts from the combination
-    of those z_j with the smallest residual instead of from ``z0``, and
-    appends its own pair (A z from the final residual, no product). An
-    empty history is first seeded with a nonzero ``z0`` at one product of A.
+    ``history`` holds (z_j, A z_j) pairs from earlier solves of the same A
+    (a fresh one when not given). The solve starts from the combination of
+    those z_j with the smallest residual and appends its own pair (A z from
+    the final residual, no product). An empty history is first seeded with
+    a nonzero ``z0`` at one product of A; otherwise the start is zero.
 
     Returns (z, gradient_norms).
     """
@@ -311,17 +311,15 @@ def beamform_update(
         return gamma_b * model.apply_adjoint(model.apply(v)) + beta * v
 
     if history is None:
-        x0, r0 = (z0 if z0 is not None else u).reshape(-1, order="F"), None
-    else:
-        if not history and z0 is not None and np.any(z0):
-            v = z0.reshape(-1, order="F")
-            history.append((v, apply_a(v)))
-        x0, r0 = _recycled_start(history, b)
+        history = []
+    if not history and z0 is not None and np.any(z0):
+        v = z0.reshape(-1, order="F")
+        history.append((v, apply_a(v)))
+    x0, r0 = _recycled_start(history, b)
     z_vec, r, norms = _conjugate_residual(
-        apply_a, b, x0, inner.tol, inner.max_iter, r0
+        apply_a, b, x0, r0, inner.tol, inner.max_iter
     )
-    if history is not None:
-        history.append((z_vec, b - r))
+    history.append((z_vec, b - r))
     return z_vec.reshape(shape, order="F"), norms
 
 

@@ -15,9 +15,10 @@ import pwrecon as pw
 from pwrecon import pipeline
 from pwrecon.beamform import envelope, log_compress
 from pwrecon.config import (
-    desk_sequential_config,
+    DESK_SEQUENTIAL,
     get_builtin_config,
     run_config_from_dict,
+    solver_config,
 )
 from pwrecon.metrics import annulus_mask, cnr, disc_mask, fwhm, gcnr, histogram_match
 from pwrecon.psf import Psf, conv_apply, deconv_update, make_parametric_psf
@@ -57,7 +58,7 @@ class Bundle:
 
     def solve_sequential(self, name):
         return pw.solve(
-            desk_sequential_config(name),
+            solver_config(DESK_SEQUENTIAL[name]),
             model=self.model,
             y_ch=self.channel,
             psf=self.psf,

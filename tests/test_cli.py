@@ -329,6 +329,66 @@ class TestWrongKind:
         assert len(err.splitlines()) == 1
 
 
+def _write_config(small_config, tmp_path, edit):
+    doc = json.loads(small_config.read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMetricsKindMustFitThePhantom:
+    """A metrics kind whose targets the phantom does not hold exits 4."""
+
+    @pytest.mark.parametrize("phantom, kind", [("point", "cyst"), ("cyst", "point")])
+    def test_other_kind_exits_4_naming_it(
+        self, small_config, tmp_path, capsys, phantom, kind
+    ):
+        def edit(doc):
+            if phantom == "cyst":
+                doc["phantom"] = {"type": "cyst", "center": [3.6e-3, 0.0], "radius": 0.4e-3}
+
+        config = _write_config(small_config, tmp_path, edit)
+        ch, ph, rf = (str(tmp_path / n) for n in ("ch.usjd", "ph.usjd", "rf.usjd"))
+        assert main(["simulate", "--config", config, "--out", ch, "--phantom-out", ph]) == 0
+        assert main(["das", "--config", config, "--channel", ch, "--out", rf]) == 0
+        metrics = ["metrics", "--config", config, "--image", rf, "--phantom", ph]
+        assert main([*metrics, "--kind", phantom]) == 0
+        capsys.readouterr()
+        assert main([*metrics, "--kind", kind]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: metrics kind %r: the phantom has no %s target\n" % (kind, kind)
+
+
+class TestModelPsfOnTinyGrids:
+    """A "model" PSF is one pixel wide along an axis of one or two pixels."""
+
+    @pytest.mark.parametrize("nz, nx", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_solves_in_joint_and_sequential_mode(self, small_config, tmp_path, nz, nx):
+        from pwrecon import pipeline
+        from pwrecon.config import load_run_config
+
+        def edit(doc):
+            doc["grid"].update(nz=nz, nx=nx)
+            doc["phantom"]["points"] = [[3.0e-3, 0.0]]  # the grid's first row
+            del doc["phantom"]["blur"]  # a pulse kernel this large cannot blur the grid
+            doc["psf"] = {"type": "model"}
+
+        config = _write_config(small_config, tmp_path, edit)
+        cfg = load_run_config(config)
+        assert pipeline.resolve_psf(cfg, pipeline.build_model(cfg)).kernel.shape == (1, 1)
+        ch = str(tmp_path / "ch.usjd")
+        assert main(["simulate", "--config", config, "--out", ch]) == 0
+        for mode in ("joint", "sequential"):
+            out = tmp_path / ("%s.usjd" % mode)
+            code = main([
+                "solve", "--config", config, "--channel", ch, "--mode", mode,
+                "--out", str(out),
+            ])
+            assert code == 0, mode
+            assert np.all(np.isfinite(read_container(out).data))
+
+
 class TestUnopenablePaths:
     """A path that cannot be opened exits 3 with one line and leaves no temp file."""
 

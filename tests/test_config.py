@@ -11,7 +11,6 @@ from pwrecon.cli import main
 from pwrecon.config import (
     DESK_SEQUENTIAL,
     ConfigError,
-    desk_sequential_config,
     get_builtin_config,
     run_config_from_dict,
     solver_config,
@@ -123,7 +122,7 @@ class TestSolverBlocks:
         )
 
     def test_desk_sequential_blocks(self):
-        assert desk_sequential_config("desk_point") == SolverConfig(
+        assert solver_config(DESK_SEQUENTIAL["desk_point"]) == SolverConfig(
             gamma_d=0.0,
             gamma_b=1.0,
             beta=12.0,

@@ -554,6 +554,32 @@ class TestInnerOutcomes:
         assert len(calls) == 1 + sum(steps)
         assert report.state.adjoint_products == len(calls)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    @pytest.mark.parametrize(
+        "inner", [InnerSettings(), InnerSettings(max_iter=2, tol=1e-14)],
+        ids=["uncapped", "capped"],
+    )
+    def test_one_product_per_inner_step(self, covered_instance, rng, inner, warm):
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        cfg = SolverConfig(
+            gamma_d=1.0, gamma_b=0.5, mu=0.01, beta=2.0, max_iter=6,
+            epsilon=1e-12, inner=inner,
+        )
+        report = solve(
+            cfg, model=model, y_ch=rng.standard_normal(model.num_rows),
+            psf=make_psf(rng), y_das=rng.standard_normal(grid.shape),
+            x0=rng.standard_normal(grid.shape) if warm else None,
+        )
+        state = report.state
+        assert state.inner_capped == (report.iterations if inner.max_iter == 2 else 0)
+        # one forward and one adjoint per inner step; Phi x for each objective
+        # (the start's included) and Phi^T y once; a nonzero x0 is seeded at
+        # one more of each
+        steps, seed = sum(state.inner_iterations), int(warm)
+        assert state.forward_products == steps + report.iterations + 1 + seed
+        assert state.adjoint_products == steps + 1 + seed
+
     def test_desk_point_has_no_capped_inner_solve(self):
         from pwrecon import pipeline
         from pwrecon.config import get_builtin_config, run_config_from_dict
@@ -576,42 +602,44 @@ class TestConjugateResidual:
         b = rng.standard_normal(n)
 
         x, r, norms = _conjugate_residual(
-            lambda v: spd @ v, b, np.zeros(n), 1e-12, 500
+            lambda v: spd @ v, b, np.zeros(n), b, 1e-12, 500
         )
         np.testing.assert_allclose(spd @ x, b, rtol=1e-8, atol=1e-8)
         assert all(later <= earlier + 1e-12 for earlier, later in zip(norms, norms[1:]))
         np.testing.assert_allclose(r, b - spd @ x, atol=1e-8)
         assert norms[-1] == np.linalg.norm(r)
 
-    def test_given_start_residual_takes_no_product_for_it(self, rng):
+    def test_takes_one_product_per_step(self, rng):
         n = 30
         a = rng.standard_normal((n, n))
         spd = a @ a.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        x0 = rng.standard_normal(n)
         calls = []
 
         def apply_a(v):
             calls.append(1)
             return spd @ v
 
-        cold = _conjugate_residual(apply_a, b, x0, 1e-10, 200)
-        cold_calls = len(calls)
+        for max_iter in (1, 2, 3):
+            calls.clear()
+            _, _, norms = _conjugate_residual(apply_a, b, np.zeros(n), b, 1e-14, max_iter)
+            # the cap stops before the product a next step would need
+            assert len(norms) - 1 == max_iter
+            assert len(calls) == max_iter
         calls.clear()
-        given = _conjugate_residual(apply_a, b, x0, 1e-10, 200, r0=b - spd @ x0)
-        assert len(calls) == cold_calls - 1
-        np.testing.assert_allclose(given[0], cold[0], rtol=1e-9, atol=1e-9)
+        _, _, norms = _conjugate_residual(apply_a, b, np.zeros(n), b, 1e-10, 200)
+        assert len(calls) == len(norms) - 1 < 200
 
 
 class TestRecycledStart:
     """Each inner solve starts from the best combination of the last few z."""
 
     @staticmethod
-    def _exit_residuals(monkeypatch, record, compare_cold=False):
+    def _exit_residuals(monkeypatch, record, exact=None):
         """Patch the solver's z update to record, per call, how many earlier
         solutions it received, the true residual at exit over its threshold,
-        the threshold, and (``compare_cold``) the distance to the z a cold
-        start from z0 reaches on the same right-hand side."""
+        the threshold, and (given ``exact``, the exact z as a function of
+        the right-hand side) the distance to the exact z."""
         from pwrecon import solver as solver_mod
         from pwrecon.solver import _inner_threshold, _normal_rhs
 
@@ -625,13 +653,7 @@ class TestRecycledStart:
             phi = model.matrix  # products outside the ones the solve counts
             true = b - (gamma_b * (phi.T @ (phi @ zv)) + beta * zv)
             threshold = _inner_threshold(inner.tol, b)
-            gap = None
-            if compare_cold:
-                cold, _ = update(
-                    model, y_ch, u, lam2, gamma_b, beta, inner, z0,
-                    back_projection=kw["back_projection"],
-                )
-                gap = np.linalg.norm(z - cold)
+            gap = None if exact is None else np.linalg.norm(zv - exact(b))
             record.append(
                 (started_from, np.linalg.norm(true) / threshold, threshold, gap)
             )
@@ -648,10 +670,11 @@ class TestRecycledStart:
         beta=st.floats(0.2, 5.0),
         warm=st.booleans(),
     )
-    def test_exit_residual_and_result_match_a_cold_start(
+    def test_exit_residual_and_result_match_exact_updates(
         self, covered_instance, seed, gamma_d, gamma_b, mu, beta, warm
     ):
         from pwrecon import solver as solver_mod
+        from pwrecon.solver import _normal_rhs
 
         model = covered_instance["model"]
         grid = covered_instance["grid"]
@@ -666,33 +689,39 @@ class TestRecycledStart:
             max_iter=12, inner=inner,
         )
         args = dict(model=model, y_ch=y_ch, psf=psf, y_das=y_das, x0=x0)
+        # the z update solved densely: 256 columns
+        phi = model.matrix.toarray()
+        normal = gamma_b * phi.T @ phi + beta * np.eye(phi.shape[1])
+
+        def exact(b):
+            return np.linalg.solve(normal, b)
+
         record = []
         with pytest.MonkeyPatch.context() as mp:
-            self._exit_residuals(mp, record, compare_cold=True)
+            self._exit_residuals(mp, record, exact)
             recycled = solve(cfg, **args)
         # each update starts from every earlier solution the depth keeps
         assert [r[0] for r in record][1:] == [
             min(k + int(warm), solver_mod._START_DEPTH) for k in range(1, len(record))
         ]
         assert max(r[1] for r in record) <= 1.0
-        # both starts end within threshold / beta of the exact z, since the
+        # every exit lies within threshold / beta of the exact z, since the
         # normal matrix is at least beta I
-        assert all(gap <= 2 * threshold / beta for _, _, threshold, gap in record)
+        assert all(gap <= threshold / beta for _, _, threshold, gap in record)
         if gamma_d == 0.0:
             # a single-term solve can stop at iteration 2 on an unchanged
             # objective (ROADMAP item 1), so whole solves need not stop alike
             return
 
-        update = solver_mod.beamform_update
-
-        def cold(*a, history, **kw):
-            return update(*a, **kw)
+        def exact_update(model, y_ch, u, lam2, gamma_b, beta, inner, z0=None, **kw):
+            b = _normal_rhs(kw["back_projection"], u, lam2, beta)
+            return exact(b).reshape(u.shape, order="F"), [0.0]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_mod, "beamform_update", cold)
+            mp.setattr(solver_mod, "beamform_update", exact_update)
             reference = solve(cfg, **args)
         assert reference.iterations == recycled.iterations == cfg.max_iter
-        # and both solves carry those errors through every later iteration
+        # and the solve carries those errors through every later iteration
         bound = 2 * cfg.max_iter * max(r[2] for r in record) / beta * recycled.scale
         assert np.abs(recycled.result.data - reference.result.data).max() <= bound
 
