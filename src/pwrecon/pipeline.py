@@ -48,14 +48,27 @@ def build_model(cfg):
     )
 
 
+def _half_width_within(half, n):
+    """``half`` clamped so that a centered box of 2 half + 1 pixels fits an
+    axis of n pixels with a pixel to spare on each side; an axis of one or
+    two pixels keeps a one-pixel box."""
+    center = n // 2
+    return max(min(half, center - 1, n - center - 2), 0)
+
+
 def _parametric_psf(cfg, spec, lateral_sigma):
-    """Parametric kernel from a config block; unset keys from the probe."""
-    return make_parametric_psf(
+    """Parametric kernel from a config block, unset keys from the probe,
+    cropped about its center to fit the grid."""
+    kernel = make_parametric_psf(
         f0=spec.get("f0", cfg.probe.center_freq),
         fs=spec.get("fs", cfg.probe.sampling_freq),
         axial_fbw=spec.get("axial_fbw", 0.67),
         lateral_sigma=spec.get("lateral_sigma", lateral_sigma),
-    )
+    ).kernel
+    az, ax = (d // 2 for d in kernel.shape)
+    hz = _half_width_within(az, cfg.grid.nz)
+    hx = _half_width_within(ax, cfg.grid.nx)
+    return Psf(kernel=kernel[az - hz : az + hz + 1, ax - hx : ax + hx + 1])
 
 
 def _blur_kernel(cfg):
@@ -144,9 +157,8 @@ def psf_from_model(model, pre_blur=None):
     cols = np.where(strong.any(axis=0))[0]
     half_z = int(max(ciz - rows.min(), rows.max() - ciz))
     half_x = int(max(cix - cols.min(), cols.max() - cix))
-    # an axis of one or two pixels keeps a one-pixel kernel along it
-    half_z = max(min(max(half_z, 1), 20, ciz - 1, grid.nz - ciz - 2), 0)
-    half_x = max(min(max(half_x, 1), 16, cix - 1, grid.nx - cix - 2), 0)
+    half_z = _half_width_within(min(max(half_z, 1), 20), grid.nz)
+    half_x = _half_width_within(min(max(half_x, 1), 16), grid.nx)
     kernel = img[ciz - half_z : ciz + half_z + 1, cix - half_x : cix + half_x + 1]
     kernel = kernel / img[ciz, cix]
     return Psf(kernel=kernel, dz=grid.dz, dx=grid.dx)

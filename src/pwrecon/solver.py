@@ -54,6 +54,19 @@ _TINY = 1e-30
 # 3,238 / 3,072 / 3,014 at depths 1 / 2 / 3 / 5 / 8.
 _START_DEPTH = 5
 
+# Search directions (basis columns, stored as rows) a solve keeps from its
+# first inner solves, 2 * 8 * n bytes each for n pixels. Forward plus adjoint
+# products of desk_point joint (phantom seeds 1 / 2) and desk_cyst at 192x128
+# (seed 1): 781 / 767 / 392 without a basis, 701 / 691 / 354 at 16 columns,
+# 653 / 619 / 336 at 24, 611 / 609 / 330 at 32, 539 / 539 / 304 at 64. The
+# peak RSS of a 192x128 run that also builds the matrix rises 0.3 MB at 24
+# columns, 6.7 MB at 32.
+_BASIS_COLUMNS = 24
+
+# A harvested direction whose norm outside the kept span is at most this
+# (it starts at 1) adds nothing the basis does not already hold.
+_NEGLIGIBLE = 1e-4
+
 
 def mode_fields(mode, values):
     """SolverConfig fields that put keyword ``values`` into ``mode``.
@@ -153,6 +166,10 @@ class SolverState:
     dual_residuals: list = field(default_factory=list)  # (beta|dz|, beta|dw|)
     forward_products: int = 0  # Phi x made by this solve
     adjoint_products: int = 0  # Phi^T y made by this solve
+    basis_columns: int = 0  # search directions the inner starts were projected on
+    step_seconds: dict = field(
+        default_factory=lambda: dict.fromkeys(("u", "z", "w", "objective"), 0.0)
+    )  # wall time of each update over the whole solve
 
 
 @dataclass
@@ -188,8 +205,12 @@ class SolveReport:
             "dual_residuals": [list(r) for r in self.state.dual_residuals],
             "forward_products": self.state.forward_products,
             "adjoint_products": self.state.adjoint_products,
+            "basis_columns": self.state.basis_columns,
             "scale": self.scale,
-            "timing": {"wall_time_s": self.wall_time},
+            "timing": {
+                "wall_time_s": self.wall_time,
+                **{"%s_step_s" % k: v for k, v in self.state.step_seconds.items()},
+            },
         }
         if self.stages:
             d["stages"] = [s.to_json_dict() for s in self.stages]
@@ -218,14 +239,17 @@ def _inner_threshold(tol, b):
     return tol * (1.0 + float(np.linalg.norm(b)))
 
 
-def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter):
+def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter, keep=((), ())):
     """Minimize ||b - A x|| over growing Krylov spaces (A symmetric PD).
 
     ``r0`` is the start residual b - A x0. Each recorded step takes one
     product of A, and residual norms are nonincreasing by construction.
-    Returns the iterate, its recurrence residual and the recorded
-    residual-norm trace.
+    ``keep`` is a pair of row blocks (U, C), empty by default: step j writes
+    its direction p_j / ||A p_j|| to row j of U and A p_j / ||A p_j|| to row
+    j of C while rows last. Returns the iterate, its recurrence residual and
+    the recorded residual-norm trace.
     """
+    keep_u, keep_c = keep
     x, r = x0, r0
     norms = [float(np.linalg.norm(r))]
     threshold = _inner_threshold(tol, b)
@@ -239,6 +263,10 @@ def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter):
         ap_ap = float(ap @ ap)
         if ap_ap <= 0.0 or r_ar == 0.0:
             break
+        if step <= len(keep_c):
+            scale = 1.0 / np.sqrt(ap_ap)
+            np.multiply(p, scale, out=keep_u[step - 1])
+            np.multiply(ap, scale, out=keep_c[step - 1])
         alpha = r_ar / ap_ap
         x = x + alpha * p
         r = r - alpha * ap
@@ -255,6 +283,53 @@ def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter):
         ap = ar + gamma * ap
         r_ar = r_ar_new
     return x, r, norms
+
+
+class _KeptDirections:
+    """Search directions that one solve keeps from its first inner solves.
+
+    Row j of ``u`` is a direction and row j of ``c`` its product with A, so
+    A U = C, and the kept rows of C are orthonormal. Both blocks are
+    allocated once, ``cap`` rows deep; rows no solve writes are never
+    touched.
+    """
+
+    def __init__(self, n, cap):
+        self.u = np.empty((cap, n))
+        self.c = np.empty((cap, n))
+        self.size = 0
+
+    def free_rows(self):
+        return self.u[self.size :], self.c[self.size :]
+
+    def project(self, x, r):
+        """Move x along U so that r loses its component in span(C): two thin
+        products with the kept rows, none of A."""
+        k = self.size
+        h = self.c[:k] @ r
+        return x + h @ self.u[:k], r - h @ self.c[:k]
+
+    def keep(self, m):
+        """Keep the directions of an m-step CR solve that fitted in the free
+        rows, made orthogonal to the kept rows of C and among themselves."""
+        k = self.size
+        m = min(m, len(self.c) - k)
+        ub, cb = self.u[k : k + m], self.c[k : k + m]
+        if k:
+            for _ in range(2):  # twice over: orthogonal to C to rounding
+                h = cb @ self.c[:k].T
+                cb -= h @ self.c[:k]
+                ub -= h @ self.u[:k]
+        # a CR solve's own A-images lose orthogonality to about 1e-6 in 20
+        # steps, near the inner tolerance: orthonormalizing the first batch
+        # too saves about 17 of 656 products on desk_point. A direction left
+        # (nearly) in span(C) is dropped.
+        s, v = np.linalg.eigh(cb @ cb.T)
+        kept = s > _NEGLIGIBLE**2
+        t = (v[:, kept] / np.sqrt(s[kept])).T
+        self.size = k + len(t)
+        self.c[k : self.size] = t @ cb
+        self.u[k : self.size] = t @ ub
 
 
 def _recycled_start(history, b):
@@ -277,7 +352,7 @@ def _normal_rhs(back_projection, u, lam2, beta):
 
 def beamform_update(
     model, y_ch, u, lam2, gamma_b, beta, inner, z0=None, *, back_projection=None,
-    history=None,
+    history=None, basis=None,
 ):
     """Channel-data subproblem: approximately minimize over z
 
@@ -294,6 +369,11 @@ def beamform_update(
     those z_j with the smallest residual and appends its own pair (A z from
     the final residual, no product). An empty history is first seeded with
     a nonzero ``z0`` at one product of A; otherwise the start is zero.
+
+    ``basis`` holds search directions kept from earlier solves of the same A
+    (none when not given). The start loses its residual's component along
+    them at no product of A, and this solve's directions fill the basis's
+    free rows.
 
     Returns (z, gradient_norms).
     """
@@ -312,13 +392,16 @@ def beamform_update(
 
     if history is None:
         history = []
+    if basis is None:
+        basis = _KeptDirections(b.size, 0)
     if not history and z0 is not None and np.any(z0):
         v = z0.reshape(-1, order="F")
         history.append((v, apply_a(v)))
-    x0, r0 = _recycled_start(history, b)
+    x0, r0 = basis.project(*_recycled_start(history, b))
     z_vec, r, norms = _conjugate_residual(
-        apply_a, b, x0, r0, inner.tol, inner.max_iter
+        apply_a, b, x0, r0, inner.tol, inner.max_iter, keep=basis.free_rows()
     )
+    basis.keep(len(norms) - 1)
     history.append((z_vec, b - r))
     return z_vec.reshape(shape, order="F"), norms
 
@@ -357,6 +440,13 @@ class _CountedProducts:
     def apply_adjoint(self, y):
         self.adjoint += 1
         return self.model.apply_adjoint(y)
+
+
+def _lap(times, step, start):
+    """Add the time since ``start`` to ``times[step]``; return the time now."""
+    now = time.perf_counter()
+    times[step] += now - start
+    return now
 
 
 def _check_geometry(ch, model):
@@ -456,17 +546,23 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     track_u = cfg.gamma_d > 0.0
     if model is not None:
         model = _CountedProducts(model)
+    times = state.step_seconds
+    clock = time.perf_counter()
     obj0 = objective(state.u if track_u else state.z, yd, psf, model, yc, cfg)
+    _lap(times, "objective", clock)
     state.objective_history.append(obj0)
     guard = 1e6 * max(obj0, _TINY)
     # gamma_b Phi^T y_ch is the same in every z update: one adjoint per solve
     back_projection = cfg.gamma_b * model.apply_adjoint(yc) if needs_channel else None
-    # each inner solve starts from the span of the last few z solutions
+    # each inner solve starts from the span of the last few z solutions,
+    # projected off the search directions kept from the first ones
     history = deque(maxlen=_START_DEPTH)
+    basis = _KeptDirections(state.z.size, _BASIS_COLUMNS)
 
     converged = False
     for it in range(1, cfg.max_iter + 1):
         z_prev, w_prev = state.z, state.w
+        clock = time.perf_counter()
         state.u = deconv_update(
             yd if yd is not None else np.zeros(shape),
             psf,
@@ -477,9 +573,11 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
             cfg.gamma_d,
             cfg.beta,
         )
+        clock = _lap(times, "u", clock)
         state.z, norms = beamform_update(
             model, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner,
             z0=state.z, back_projection=back_projection, history=history,
+            basis=basis,
         )
         steps = len(norms) - 1
         state.inner_iterations.append(steps)
@@ -487,11 +585,15 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
             # the cap stopped CR; it counts unless the last step met the tolerance
             b = _normal_rhs(back_projection, state.u, state.lam2, cfg.beta)
             state.inner_capped += int(norms[-1] > _inner_threshold(cfg.inner.tol, b))
+        clock = _lap(times, "z", clock)
         state.w = sparsity_update(state.u, state.lam1, cfg.mu, cfg.beta)
+        _lap(times, "w", clock)
         multiplier_update(state, cfg.beta)
         state.iter = it
 
+        clock = time.perf_counter()
         obj = objective(state.u if track_u else state.z, yd, psf, model, yc, cfg)
+        _lap(times, "objective", clock)
         state.objective_history.append(obj)
         state.primal_residuals.append(
             (
@@ -520,6 +622,7 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
 
     if model is not None:
         state.forward_products, state.adjoint_products = model.forward, model.adjoint
+    state.basis_columns = basis.size
     result_arr = (state.u if track_u else state.z) * scale
     return SolveReport(
         result=RfImage(data=result_arr, grid=grid),

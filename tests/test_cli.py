@@ -371,7 +371,6 @@ class TestModelPsfOnTinyGrids:
         def edit(doc):
             doc["grid"].update(nz=nz, nx=nx)
             doc["phantom"]["points"] = [[3.0e-3, 0.0]]  # the grid's first row
-            del doc["phantom"]["blur"]  # a pulse kernel this large cannot blur the grid
             doc["psf"] = {"type": "model"}
 
         config = _write_config(small_config, tmp_path, edit)
@@ -387,6 +386,28 @@ class TestModelPsfOnTinyGrids:
             ])
             assert code == 0, mode
             assert np.all(np.isfinite(read_container(out).data))
+
+
+class TestParametricKernelsOnSmallGrids:
+    """The phantom's pulse kernel and a parametric PSF (13x3 and 13x7 at
+    these probe settings) are cropped about their centers to fit a smaller
+    grid."""
+
+    @pytest.mark.parametrize("nz, nx", [(2, 16), (32, 1), (2, 1), (12, 3)])
+    def test_simulate_with_blur_and_solve_exit_0(self, small_config, tmp_path, nz, nx):
+        def edit(doc):
+            doc["grid"].update(nz=nz, nx=nx)
+            doc["phantom"]["points"] = [[3.0e-3, 0.0]]  # the grid's first row
+
+        config = _write_config(small_config, tmp_path, edit)
+        ch = tmp_path / "ch.usjd"
+        assert main(["simulate", "--config", config, "--out", str(ch)]) == 0
+        data = read_container(ch).samples
+        assert np.all(np.isfinite(data)) and np.any(data)
+        out = tmp_path / "rec.usjd"
+        code = main(["solve", "--config", config, "--channel", str(ch), "--out", str(out)])
+        assert code == 0
+        assert np.all(np.isfinite(read_container(out).data))
 
 
 class TestUnopenablePaths:

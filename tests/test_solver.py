@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwrecon import (
@@ -18,7 +18,7 @@ from pwrecon import (
     solve,
     sparsity_update,
 )
-from pwrecon.solver import SolverState, _conjugate_residual
+from pwrecon.solver import SolverState, _conjugate_residual, _KeptDirections
 
 
 def make_psf(rng, shape=(5, 3)):
@@ -417,7 +417,10 @@ class TestSolve:
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["iterations"] == report.iterations
         assert len(doc["objective_history"]) == report.iterations + 1
-        assert "wall_time_s" in doc["timing"]
+        assert 0 < doc["basis_columns"] == report.state.basis_columns
+        timing = doc["timing"]
+        steps = [timing["%s_step_s" % k] for k in ("u", "z", "w", "objective")]
+        assert min(steps) > 0 and sum(steps) <= timing["wall_time_s"]
 
     def test_dual_residuals_and_products_are_recorded(
         self, covered_instance, rng, monkeypatch
@@ -669,9 +672,12 @@ class TestRecycledStart:
         mu=st.floats(0.0, 0.1),
         beta=st.floats(0.2, 5.0),
         warm=st.booleans(),
+        cap=st.sampled_from([3, 8, None]),
     )
+    # the shipped cap, filled by the first two inner solves
+    @example(seed=1, gamma_d=1.0, gamma_b=2.0, mu=0.01, beta=0.2, warm=False, cap=None)
     def test_exit_residual_and_result_match_exact_updates(
-        self, covered_instance, seed, gamma_d, gamma_b, mu, beta, warm
+        self, covered_instance, seed, gamma_d, gamma_b, mu, beta, warm, cap
     ):
         from pwrecon import solver as solver_mod
         from pwrecon.solver import _normal_rhs
@@ -696,14 +702,21 @@ class TestRecycledStart:
         def exact(b):
             return np.linalg.solve(normal, b)
 
+        cap = cap or solver_mod._BASIS_COLUMNS
         record = []
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_BASIS_COLUMNS", cap)
             self._exit_residuals(mp, record, exact)
             recycled = solve(cfg, **args)
         # each update starts from every earlier solution the depth keeps
         assert [r[0] for r in record][1:] == [
             min(k + int(warm), solver_mod._START_DEPTH) for k in range(1, len(record))
         ]
+        # the updates after the first start from the kept directions; the
+        # first update's directions fill the basis up to the cap
+        steps = recycled.state.inner_iterations
+        assert len(steps) >= 2
+        assert min(steps[0], cap) <= recycled.state.basis_columns <= cap
         assert max(r[1] for r in record) <= 1.0
         # every exit lies within threshold / beta of the exact z, since the
         # normal matrix is at least beta I
@@ -725,6 +738,61 @@ class TestRecycledStart:
         bound = 2 * cfg.max_iter * max(r[2] for r in record) / beta * recycled.scale
         assert np.abs(recycled.result.data - reference.result.data).max() <= bound
 
+    def test_kept_directions_stay_exact_images_and_orthonormal(
+        self, covered_instance, rng
+    ):
+        from pwrecon import solver as solver_mod
+
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        gamma_b, beta = 0.2, 2.0  # about 10 CR steps per solve
+        phi = model.matrix.toarray()
+        normal = gamma_b * phi.T @ phi + beta * np.eye(phi.shape[1])
+        back = gamma_b * model.apply_adjoint(rng.standard_normal(model.num_rows))
+        basis = _KeptDirections(grid.nz * grid.nx, solver_mod._BASIS_COLUMNS)
+        history, filled = [], []
+        for _ in range(4):
+            u, lam2 = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+            beamform_update(
+                model, None, u, lam2, gamma_b, beta, InnerSettings(max_iter=400),
+                back_projection=back, history=history, basis=basis,
+            )
+            filled.append(basis.size)
+            k = basis.size
+            # A U = C to rounding, C orthonormal: projecting a start keeps its
+            # recurrence residual the true one
+            au = basis.u[:k] @ normal
+            assert np.abs(au - basis.c[:k]).max() <= 1e-10 * np.abs(au).max()
+            np.testing.assert_allclose(basis.c[:k] @ basis.c[:k].T, np.eye(k), atol=1e-10)
+        # later solves add to the basis until its cap, then keep it fixed
+        assert filled[0] < filled[1] < filled[-1] == solver_mod._BASIS_COLUMNS
+
+    def test_repeated_input_is_bit_identical(self, covered_instance, rng):
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+
+        def inputs():
+            return dict(
+                model=model, y_ch=rng.standard_normal(model.num_rows),
+                psf=make_psf(rng), y_das=rng.standard_normal(grid.shape),
+            )
+
+        cfg = SolverConfig(gamma_d=1.0, gamma_b=0.5, mu=0.01, beta=2.0, max_iter=8)
+        args = inputs()
+        first = solve(cfg, **args)
+        cached = set(vars(model))
+        # other solves on the same matrix in between leave nothing behind
+        solve(cfg, **inputs())
+        solve(replace(cfg, gamma_d=0.0, mode="beamform_only"), **inputs())
+        again = solve(cfg, **args)
+        assert first.state.basis_columns > 0
+        assert np.array_equal(first.result.data, again.result.data)
+        assert first.state.inner_iterations == again.state.inner_iterations
+        assert (first.state.forward_products, first.state.adjoint_products) == (
+            again.state.forward_products, again.state.adjoint_products,
+        )
+        assert set(vars(model)) == cached
+
     def test_desk_point_joint_takes_fewer_products(self, monkeypatch):
         from pwrecon import pipeline
         from pwrecon.config import get_builtin_config, run_config_from_dict
@@ -745,8 +813,9 @@ class TestRecycledStart:
         record = []
         self._exit_residuals(monkeypatch, record)
         report = pipeline.run_reconstruction(cfg, model, ch)
-        # 1,012 products when every inner solve started cold from z_{k-1}
-        assert len(calls) <= 740
+        # 1,012 products when every inner solve started cold from z_{k-1},
+        # 740 from the recycled start alone
+        assert len(calls) <= 618
         assert report.state.forward_products + report.state.adjoint_products == len(calls)
         assert report.iterations == 28
         assert report.converged
