@@ -99,6 +99,14 @@ class RunConfig:
         return replace(self.probe, t0_offset=t0), num
 
 
+def _position(val, path):
+    """A [z, x] position in meters: a list of two numbers, read as floats."""
+    where, _, key = path.rpartition(".")
+    if not isinstance(val, list) or len(val) != 2:
+        raise ConfigError("key %r in %s holds %r, not a [z, x] pair" % (key, where, val))
+    return [_value(v, "float", key, where) for v in val]
+
+
 # Keys of the grid block (its spacing comes from the probe) and of the
 # blocks a RunConfig keeps as plain dicts.
 _GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
@@ -107,9 +115,11 @@ _PSF_KEYS = {"type": "str", "path": "str", **_SHAPE_KEYS}
 _METRICS_KEYS = dict(kind="str", roi_ratio="float", background_inner_ratio="float")
 _PHANTOM_KEYS = {
     "type": "str",
-    "points": "list",
+    "points": lambda v, p: [
+        _position(q, p) for q in _value(v, "list", "points", "phantom")
+    ],
     "amplitude": "float",
-    "center": "list",
+    "center": _position,
     "radius": "float",
     "snr_db": "float | None",
     "seed": "int",

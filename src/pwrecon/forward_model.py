@@ -326,13 +326,13 @@ def load_matrix(path):
     return read_container(path, "matrix")
 
 
-def cached_system_matrix(probe, grid, tx, num_samples, apod, cache_dir=None):
+def cached_system_matrix(probe, grid, tx, num_samples, apod):
     """Build a system matrix, reusing an on-disk copy when available.
 
-    The cache directory comes from ``cache_dir`` or the PWRECON_CACHE_DIR
-    environment variable; with neither set the matrix is built in memory.
+    The cache directory is the PWRECON_CACHE_DIR environment variable; unset,
+    the matrix is built in memory.
     """
-    cache_dir = cache_dir or os.environ.get("PWRECON_CACHE_DIR")
+    cache_dir = os.environ.get("PWRECON_CACHE_DIR")
     if not cache_dir:
         return build_system_matrix(probe, grid, tx, num_samples, apod)
     fp = geometry_fingerprint(probe, grid, tx, num_samples, apod)

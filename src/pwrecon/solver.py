@@ -234,25 +234,20 @@ def objective(x, y_das, psf, model, y_ch, cfg):
     return total
 
 
-def _inner_threshold(tol, b):
-    """Residual norm at which the inner solve of A x = b counts as converged."""
-    return tol * (1.0 + float(np.linalg.norm(b)))
-
-
-def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter, keep=((), ())):
+def _conjugate_residual(apply_a, x0, r0, threshold, max_iter, keep=((), ())):
     """Minimize ||b - A x|| over growing Krylov spaces (A symmetric PD).
 
-    ``r0`` is the start residual b - A x0. Each recorded step takes one
-    product of A, and residual norms are nonincreasing by construction.
-    ``keep`` is a pair of row blocks (U, C), empty by default: step j writes
-    its direction p_j / ||A p_j|| to row j of U and A p_j / ||A p_j|| to row
-    j of C while rows last. Returns the iterate, its recurrence residual and
-    the recorded residual-norm trace.
+    ``r0`` is the start residual b - A x0; the solve stops once a residual
+    norm is at most ``threshold``. Each recorded step takes one product of
+    A, and residual norms are nonincreasing by construction. ``keep`` is a
+    pair of row blocks (U, C), empty by default: step j writes its direction
+    p_j / ||A p_j|| to row j of U and A p_j / ||A p_j|| to row j of C while
+    rows last. Returns the iterate, its recurrence residual and the recorded
+    residual-norm trace.
     """
     keep_u, keep_c = keep
     x, r = x0, r0
     norms = [float(np.linalg.norm(r))]
-    threshold = _inner_threshold(tol, b)
     if norms[-1] <= threshold:
         return x, r, norms
     p = r.copy()
@@ -285,95 +280,102 @@ def _conjugate_residual(apply_a, b, x0, r0, tol, max_iter, keep=((), ())):
     return x, r, norms
 
 
-class _KeptDirections:
-    """Search directions that one solve keeps from its first inner solves.
+class _NormalEquations:
+    """The z update's normal equations A z = b of one solve, with
+    A = gamma_b Phi^T Phi + beta I and b = gamma_b Phi^T y_ch + beta u + lam2,
+    and what each of their inner solves leaves for the next.
 
-    Row j of ``u`` is a direction and row j of ``c`` its product with A, so
-    A U = C, and the kept rows of C are orthonormal. Both blocks are
-    allocated once, ``cap`` rows deep; rows no solve writes are never
-    touched.
+    Only u and lam2 change from solve to solve, so gamma_b Phi^T y_ch is
+    taken once, at one adjoint product. Each solve starts from the
+    combination of the last ``_START_DEPTH`` solutions z_j with the smallest
+    residual, from the pairs (z_j, A z_j) in ``history``; a nonzero ``z0``
+    seeds them at one product of A. The start then loses its residual's
+    component along the kept search directions: row j of ``kept_u`` is a
+    direction and row j of ``kept_c`` its product with A, so A U = C, and the
+    ``kept`` rows of C are orthonormal. The first solves fill the
+    ``columns`` rows, and neither start takes a product of A. ``capped``
+    counts the solves that ``inner.max_iter`` stopped above tolerance.
     """
 
-    def __init__(self, n, cap):
-        self.u = np.empty((cap, n))
-        self.c = np.empty((cap, n))
-        self.size = 0
+    def __init__(self, model, y_ch, gamma_b, beta, columns, z0=None):
+        self.model, self.gamma_b, self.beta = model, gamma_b, beta
+        y_vec = np.asarray(y_ch, dtype=np.float64).reshape(-1)
+        self.back_projection = gamma_b * model.apply_adjoint(y_vec)
+        n = self.back_projection.size
+        self.history = deque(maxlen=_START_DEPTH)
+        self.kept_u, self.kept_c = np.empty((columns, n)), np.empty((columns, n))
+        self.kept = 0
+        self.capped = 0
+        if z0 is not None and np.any(z0):
+            v = z0.reshape(-1, order="F")
+            self.history.append((v, self._apply(v)))
 
-    def free_rows(self):
-        return self.u[self.size :], self.c[self.size :]
+    def _apply(self, v):
+        return self.gamma_b * self.model.apply_adjoint(self.model.apply(v)) + self.beta * v
 
-    def project(self, x, r):
-        """Move x along U so that r loses its component in span(C): two thin
-        products with the kept rows, none of A."""
-        k = self.size
-        h = self.c[:k] @ r
-        return x + h @ self.u[:k], r - h @ self.c[:k]
+    def solve(self, u, lam2, inner):
+        """z solving the equations for (u, lam2) to the inner tolerance, and
+        the solve's residual-norm trace."""
+        b = self.back_projection + (self.beta * u + lam2).reshape(-1, order="F")
+        if self.history:
+            z, az = (np.column_stack(cols) for cols in zip(*self.history))
+            # least squares by SVD: the A z_j grow nearly collinear as ADMM
+            # converges. Singular values below eps / tol of the largest are
+            # dropped, or their large coefficients would carry rounding into
+            # the start residual above the inner tolerance, and every later
+            # start would inherit it from the stored pairs.
+            c = np.linalg.lstsq(az, b, rcond=np.finfo(float).eps / inner.tol)[0]
+            x, r = z @ c, b - az @ c
+        else:
+            x, r = np.zeros_like(b), b
+        k = self.kept
+        h = self.kept_c[:k] @ r
+        x, r = x + h @ self.kept_u[:k], r - h @ self.kept_c[:k]
+        threshold = inner.tol * (1.0 + float(np.linalg.norm(b)))
+        x, r, norms = _conjugate_residual(
+            self._apply, x, r, threshold, inner.max_iter,
+            keep=(self.kept_u[k:], self.kept_c[k:]),
+        )
+        steps = len(norms) - 1
+        self.capped += int(steps >= inner.max_iter and norms[-1] > threshold)
+        self._keep(steps)
+        self.history.append((x, b - r))  # A x from the residual, no product
+        return x.reshape(u.shape, order="F"), norms
 
-    def keep(self, m):
+    def _keep(self, m):
         """Keep the directions of an m-step CR solve that fitted in the free
         rows, made orthogonal to the kept rows of C and among themselves."""
-        k = self.size
-        m = min(m, len(self.c) - k)
-        ub, cb = self.u[k : k + m], self.c[k : k + m]
+        k = self.kept
+        m = min(m, len(self.kept_c) - k)
+        ub, cb = self.kept_u[k : k + m], self.kept_c[k : k + m]
         if k:
             for _ in range(2):  # twice over: orthogonal to C to rounding
-                h = cb @ self.c[:k].T
-                cb -= h @ self.c[:k]
-                ub -= h @ self.u[:k]
+                h = cb @ self.kept_c[:k].T
+                cb -= h @ self.kept_c[:k]
+                ub -= h @ self.kept_u[:k]
         # a CR solve's own A-images lose orthogonality to about 1e-6 in 20
         # steps, near the inner tolerance: orthonormalizing the first batch
         # too saves about 17 of 656 products on desk_point. A direction left
         # (nearly) in span(C) is dropped.
         s, v = np.linalg.eigh(cb @ cb.T)
-        kept = s > _NEGLIGIBLE**2
-        t = (v[:, kept] / np.sqrt(s[kept])).T
-        self.size = k + len(t)
-        self.c[k : self.size] = t @ cb
-        self.u[k : self.size] = t @ ub
+        live = s > _NEGLIGIBLE**2
+        t = (v[:, live] / np.sqrt(s[live])).T
+        self.kept = k + len(t)
+        self.kept_c[k : self.kept] = t @ cb
+        self.kept_u[k : self.kept] = t @ ub
 
 
-def _recycled_start(history, b):
-    """Start x0 = Z c and its residual b - (AZ) c, with c minimizing
-    ||b - (AZ) c|| over the earlier solutions z_j (columns of Z) and their
-    products A z_j. No product is taken; an empty history starts at zero.
-    """
-    if not history:
-        return np.zeros_like(b), b
-    z, az = (np.column_stack(cols) for cols in zip(*history))
-    # least squares by SVD: the A z_j grow nearly collinear as ADMM converges
-    c = np.linalg.lstsq(az, b, rcond=None)[0]
-    return z @ c, b - az @ c
-
-
-def _normal_rhs(back_projection, u, lam2, beta):
-    """Right-hand side gamma_b Phi^T y_ch + beta u + lam2 of the z update."""
-    return back_projection + (beta * u + lam2).reshape(-1, order="F")
-
-
-def beamform_update(
-    model, y_ch, u, lam2, gamma_b, beta, inner, z0=None, *, back_projection=None,
-    history=None, basis=None,
-):
+def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, *, equations=None):
     """Channel-data subproblem: approximately minimize over z
 
         gamma_b/2 ||y_ch - Phi z||^2 + beta/2 ||u - z + lam2/beta||^2.
 
     Solved on the normal equations A z = rhs, A = gamma_b Phi^T Phi + beta I,
     to the inner gradient tolerance. With gamma_b = 0 the exact proximal
-    point u + lam2/beta is returned. ``back_projection`` is
-    gamma_b Phi^T y_ch when the caller already holds it; it does not change
-    across outer iterations.
-
-    ``history`` holds (z_j, A z_j) pairs from earlier solves of the same A
-    (a fresh one when not given). The solve starts from the combination of
-    those z_j with the smallest residual and appends its own pair (A z from
-    the final residual, no product). An empty history is first seeded with
-    a nonzero ``z0`` at one product of A; otherwise the start is zero.
-
-    ``basis`` holds search directions kept from earlier solves of the same A
-    (none when not given). The start loses its residual's component along
-    them at no product of A, and this solve's directions fill the basis's
-    free rows.
+    point u + lam2/beta is returned. ``equations`` (a ``_NormalEquations``
+    of the same model, y_ch, gamma_b and beta) carries a solve's
+    back-projection and inner starts from one update to the next; without
+    it a fresh set is built, which starts from zero and keeps no direction.
 
     Returns (z, gradient_norms).
     """
@@ -381,29 +383,9 @@ def beamform_update(
         raise ValueError("beta must be positive")
     if gamma_b == 0.0:
         return u + lam2 / beta, [0.0]
-    shape = u.shape
-    if back_projection is None:
-        y_vec = np.asarray(y_ch, dtype=np.float64).reshape(-1)
-        back_projection = gamma_b * model.apply_adjoint(y_vec)
-    b = _normal_rhs(back_projection, u, lam2, beta)
-
-    def apply_a(v):
-        return gamma_b * model.apply_adjoint(model.apply(v)) + beta * v
-
-    if history is None:
-        history = []
-    if basis is None:
-        basis = _KeptDirections(b.size, 0)
-    if not history and z0 is not None and np.any(z0):
-        v = z0.reshape(-1, order="F")
-        history.append((v, apply_a(v)))
-    x0, r0 = basis.project(*_recycled_start(history, b))
-    z_vec, r, norms = _conjugate_residual(
-        apply_a, b, x0, r0, inner.tol, inner.max_iter, keep=basis.free_rows()
-    )
-    basis.keep(len(norms) - 1)
-    history.append((z_vec, b - r))
-    return z_vec.reshape(shape, order="F"), norms
+    if equations is None:
+        equations = _NormalEquations(model, y_ch, gamma_b, beta, 0)
+    return equations.solve(u, lam2, inner)
 
 
 def sparsity_update(u, lam1, mu, beta):
@@ -552,12 +534,13 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     _lap(times, "objective", clock)
     state.objective_history.append(obj0)
     guard = 1e6 * max(obj0, _TINY)
-    # gamma_b Phi^T y_ch is the same in every z update: one adjoint per solve
-    back_projection = cfg.gamma_b * model.apply_adjoint(yc) if needs_channel else None
-    # each inner solve starts from the span of the last few z solutions,
-    # projected off the search directions kept from the first ones
-    history = deque(maxlen=_START_DEPTH)
-    basis = _KeptDirections(state.z.size, _BASIS_COLUMNS)
+    # the z updates' normal equations: Phi^T y_ch once, and each inner solve
+    # started from the earlier ones
+    equations = None
+    if needs_channel:
+        equations = _NormalEquations(
+            model, yc, cfg.gamma_b, cfg.beta, _BASIS_COLUMNS, z0=state.z
+        )
 
     converged = False
     for it in range(1, cfg.max_iter + 1):
@@ -576,15 +559,9 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
         clock = _lap(times, "u", clock)
         state.z, norms = beamform_update(
             model, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner,
-            z0=state.z, back_projection=back_projection, history=history,
-            basis=basis,
+            equations=equations,
         )
-        steps = len(norms) - 1
-        state.inner_iterations.append(steps)
-        if steps >= cfg.inner.max_iter:
-            # the cap stopped CR; it counts unless the last step met the tolerance
-            b = _normal_rhs(back_projection, state.u, state.lam2, cfg.beta)
-            state.inner_capped += int(norms[-1] > _inner_threshold(cfg.inner.tol, b))
+        state.inner_iterations.append(len(norms) - 1)
         clock = _lap(times, "z", clock)
         state.w = sparsity_update(state.u, state.lam1, cfg.mu, cfg.beta)
         _lap(times, "w", clock)
@@ -622,7 +599,8 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
 
     if model is not None:
         state.forward_products, state.adjoint_products = model.forward, model.adjoint
-    state.basis_columns = basis.size
+    if equations is not None:
+        state.inner_capped, state.basis_columns = equations.capped, equations.kept
     result_arr = (state.u if track_u else state.z) * scale
     return SolveReport(
         result=RfImage(data=result_arr, grid=grid),

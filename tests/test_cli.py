@@ -360,6 +360,39 @@ class TestMetricsKindMustFitThePhantom:
         assert err == "error: metrics kind %r: the phantom has no %s target\n" % (kind, kind)
 
 
+class TestDiscRadiusMustBeValid:
+    """A negative or infinite disc radius exits 4 instead of measuring a
+    mirrored or whole-image region."""
+
+    @pytest.fixture()
+    def cyst_files(self, small_config, tmp_path):
+        def edit(doc):
+            doc["phantom"] = {"type": "cyst", "center": [3.6e-3, 0.0], "radius": 0.4e-3}
+            doc["metrics"] = {"kind": "cyst", "roi_ratio": -0.7}
+
+        config = _write_config(small_config, tmp_path, edit)
+        ch, ph, rf = (str(tmp_path / n) for n in ("ch.usjd", "ph.usjd", "rf.usjd"))
+        assert main(["simulate", "--config", config, "--out", ch, "--phantom-out", ph]) == 0
+        assert main(["das", "--config", config, "--channel", ch, "--out", rf]) == 0
+        return ["metrics", "--config", config, "--image", rf], ph
+
+    @pytest.mark.parametrize("radius", ["-0.0003", "inf"])
+    def test_roi_radius_exits_4(self, cyst_files, capsys, radius):
+        metrics, _ = cyst_files
+        background = ["--background", "0.0036,0.0,0.0006"]
+        assert main([*metrics, "--roi", "0.0036,0.0,0.0003", *background]) == 0
+        capsys.readouterr()
+        assert main([*metrics, "--roi", "0.0036,0.0,%s" % radius, *background]) == 4
+        err = capsys.readouterr().err
+        assert "disc radius" in err and "Traceback" not in err
+
+    def test_negative_roi_ratio_exits_4(self, cyst_files, capsys):
+        metrics, ph = cyst_files
+        assert main([*metrics, "--phantom", ph]) == 4
+        err = capsys.readouterr().err
+        assert "disc radius" in err and "Traceback" not in err
+
+
 class TestModelPsfOnTinyGrids:
     """A "model" PSF is one pixel wide along an axis of one or two pixels."""
 

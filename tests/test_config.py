@@ -17,6 +17,10 @@ from pwrecon.config import (
 )
 
 
+def _cyst(center):
+    return {"type": "cyst", "center": center, "radius": 1.4e-3}
+
+
 # (edit of the desk_point document, key the error must name)
 BAD_DOCS = {
     "solver_typo": (lambda d: d["solver"].update(gama_b=0.3), "gama_b"),
@@ -34,6 +38,11 @@ BAD_DOCS = {
     "angle_as_string": (lambda d: d.update(tx_angles=["0.1"]), "tx_angles"),
     "several_angles": (lambda d: d.update(tx_angles=[0.0, -0.3, 0.3]), "tx_angles"),
     "no_angle": (lambda d: d.update(tx_angles=[]), "tx_angles"),
+    "point_of_strings": (lambda d: d["phantom"].update(points=[["a", "b"]]), "points"),
+    "point_as_number": (lambda d: d["phantom"].update(points=[0.008]), "points"),
+    "point_of_three": (lambda d: d["phantom"].update(points=[[8e-3, 0.0, 1]]), "points"),
+    "center_of_strings": (lambda d: d.update(phantom=_cyst(["a", 0])), "center"),
+    "center_of_one": (lambda d: d.update(phantom=_cyst([8.2e-3])), "center"),
 }
 
 

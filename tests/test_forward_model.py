@@ -305,15 +305,15 @@ class TestCacheFile:
         with pytest.raises(ValueError, match="truncated"):
             load_matrix(path)
 
-    def test_cached_build_uses_disk(self, tiny_instance, tmp_path):
+    def test_cached_build_uses_disk(self, tiny_instance, tmp_path, monkeypatch):
         inst = tiny_instance
+        monkeypatch.setenv("PWRECON_CACHE_DIR", str(tmp_path))
         first = cached_system_matrix(
             inst["probe"],
             inst["grid"],
             inst["tx"],
             inst["num_samples"],
             inst["apod"],
-            cache_dir=str(tmp_path),
         )
         files = list(tmp_path.glob("sysmat_*.usjd"))
         assert len(files) == 1
@@ -323,16 +323,16 @@ class TestCacheFile:
             inst["tx"],
             inst["num_samples"],
             inst["apod"],
-            cache_dir=str(tmp_path),
         )
         assert np.array_equal(first.matrix.data, second.matrix.data)
 
-    def test_corrupt_payload_count_rebuilds(self, tiny_instance, tmp_path):
+    def test_corrupt_payload_count_rebuilds(self, tiny_instance, tmp_path, monkeypatch):
         inst = tiny_instance
+        monkeypatch.setenv("PWRECON_CACHE_DIR", str(tmp_path))
         args = (
             inst["probe"], inst["grid"], inst["tx"], inst["num_samples"], inst["apod"]
         )
-        cached_system_matrix(*args, cache_dir=str(tmp_path))
+        cached_system_matrix(*args)
         (path,) = tmp_path.glob("sysmat_*.usjd")
         blob = path.read_bytes()
         # the first array's length field follows the metadata JSON
@@ -341,7 +341,7 @@ class TestCacheFile:
         path.write_bytes(
             blob[:count_at] + struct.pack("<Q", 2**62) + blob[count_at + 8 :]
         )
-        rebuilt = cached_system_matrix(*args, cache_dir=str(tmp_path))
+        rebuilt = cached_system_matrix(*args)
         assert rebuilt.nnz == inst["model"].nnz
         assert load_matrix(path).nnz == inst["model"].nnz
 

@@ -178,10 +178,10 @@ class TestGcnr:
         bg_vals = rng.standard_normal(bg.sum()) * 2 - 20
         data[bg] = bg_vals
         img = self._bmode(np.clip(data, -60, 0))
-        base = gcnr(img, (roi, bg), nbins=256)
+        base = gcnr(img, (roi, bg))
         curved = -60.0 * ((-np.clip(data, -60, 0) / 60.0) ** 0.5)
         img2 = self._bmode(curved)
-        after = gcnr(img2, (roi, bg), nbins=256)
+        after = gcnr(img2, (roi, bg))
         assert abs(after - base) <= 0.03
 
 
@@ -261,6 +261,24 @@ class TestMasksAndRegions:
         assert not (disc & ring).any()
         frac = disc.sum() / (np.pi * 10.0**2)
         assert frac == pytest.approx(1.0, rel=0.05)
+
+    @pytest.mark.parametrize("radius", [-10.0, np.inf, np.nan])
+    def test_negative_or_non_finite_radius_raises(self, radius):
+        grid = unit_grid(nz=16, nx=16, dz=1.0, dx=1.0)
+        with pytest.raises(ValueError, match="disc radius"):
+            disc_mask(grid, (8.0, 0.0), radius)
+
+    def test_annulus_out_to_infinity_raises(self):
+        grid = unit_grid(nz=16, nx=16, dz=1.0, dx=1.0)
+        with pytest.raises(ValueError, match="disc radius"):
+            annulus_mask(grid, (8.0, 0.0), 2.0, np.inf)
+
+    def test_zero_radius_is_the_center_pixel(self):
+        grid = unit_grid(nz=16, nx=16, dz=1.0, dx=1.0)
+        center = (grid.z_positions[8], grid.x_positions[8])
+        assert disc_mask(grid, center, 0.0).sum() == 1
+        ring = annulus_mask(grid, center, 0.0, 3.0)
+        assert not ring[8, 8] and ring.sum() == disc_mask(grid, center, 3.0).sum() - 1
 
     def test_metrics_report_serialization(self):
         from pwrecon import MetricsReport
