@@ -21,8 +21,8 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
-from .beamform import RfImage, compound, das_beamform, envelope, export_png, log_compress
-from .config import ConfigError, load_run_config, solver_config
+from .beamform import compound, das_beamform, envelope, export_png, log_compress
+from .config import ConfigError, load_run_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
 from .solver import SolverError, mode_fields
@@ -67,7 +67,6 @@ def _build_parser():
         choices=("joint", "beamform", "deconv", "sequential"),
         help="override the config's reconstruction mode",
     )
-    p.add_argument("--preset", help="hyperparameter preset (sr, er, sc, ec, cc, cl)")
     p.add_argument("--out", required=True, help="output RF image container")
     p.add_argument("--report", help="write convergence report JSON")
     p.set_defaults(func=_cmd_solve)
@@ -84,7 +83,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("export-png", help="render a container to 8-bit grayscale PNG")
-    p.add_argument("--input", required=True, help="rfimage or bmode container")
+    p.add_argument("--input", required=True, help="RF image container")
     p.add_argument("--out", required=True)
     p.add_argument("--dynamic-range", type=float, default=60.0)
     p.set_defaults(func=_cmd_export_png)
@@ -134,11 +133,8 @@ def _cmd_compound(args):
 def _cmd_solve(args):
     cfg = load_run_config(args.config)
     scfg = cfg.solver
-    mode = _MODE_FLAG[args.mode] if args.mode else scfg.mode
-    if args.preset:
-        scfg = solver_config({"mode": mode, "preset": args.preset})
-    elif args.mode:
-        scfg = replace(scfg, **mode_fields(mode, vars(scfg)))
+    if args.mode:
+        scfg = replace(scfg, **mode_fields(_MODE_FLAG[args.mode], vars(scfg)))
 
     ch = read_container(args.channel, "channel") if args.channel else None
     y_das = read_container(args.das, "rfimage") if args.das else None
@@ -194,10 +190,8 @@ def _cmd_metrics(args):
 
 
 def _cmd_export_png(args):
-    obj = read_container(args.input, "rfimage", "bmode")
-    if isinstance(obj, RfImage):
-        obj = log_compress(envelope(obj), args.dynamic_range)
-    export_png(obj, args.out)
+    image = read_container(args.input, "rfimage")
+    export_png(log_compress(envelope(image), args.dynamic_range), args.out)
     return EXIT_OK
 
 

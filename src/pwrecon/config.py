@@ -12,6 +12,7 @@ import builtins
 import copy
 import json
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
@@ -107,29 +108,45 @@ def _position(val, path):
     return [_value(v, "float", key, where) for v in val]
 
 
+def _points(val, path):
+    return [_position(q, path) for q in _value(val, "list", "points", "phantom")]
+
+
+def _one_of(*choices):
+    """Reader of a string key that holds one of ``choices``."""
+
+    def read(val, path):
+        where, _, key = path.rpartition(".")
+        if _value(val, "str", key, where) not in choices:
+            raise ConfigError("key %r in %s holds %r, not one of %s" % (key, where, val, choices))
+        return val
+
+    return read
+
+
 # Keys of the grid block (its spacing comes from the probe) and of the
-# blocks a RunConfig keeps as plain dicts.
+# blocks a RunConfig keeps as plain dicts. Phantom and PSF blocks are read
+# by the (keys, required keys) of the type they name, so a key of another
+# type is an unknown key.
 _GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
 _SHAPE_KEYS = dict.fromkeys(("f0", "fs", "axial_fbw", "lateral_sigma"), "float")
-_PSF_KEYS = {"type": "str", "path": "str", **_SHAPE_KEYS}
-_METRICS_KEYS = dict(kind="str", roi_ratio="float", background_inner_ratio="float")
+_PSF_TYPES = {"model": ({}, ()), "parametric": (_SHAPE_KEYS, ())}
+_METRICS_KEYS = dict(kind=_one_of("point", "cyst"), roi_ratio="float",
+                     background_inner_ratio="float")
 _PHANTOM_KEYS = {
-    "type": "str",
-    "points": lambda v, p: [
-        _position(q, p) for q in _value(v, "list", "points", "phantom")
-    ],
-    "amplitude": "float",
-    "center": _position,
-    "radius": "float",
     "snr_db": "float | None",
     "seed": "int",
     "blur": lambda b, p: None if b is None else _read(b, _SHAPE_KEYS, p),
 }
-_PHANTOM_REQUIRED = {"point": ("points",), "cyst": ("center", "radius")}
+_PHANTOM_TYPES = {
+    "point": (dict(_PHANTOM_KEYS, points=_points, amplitude="float"), ("points",)),
+    "cyst": (dict(_PHANTOM_KEYS, center=_position, radius="float"), ("center", "radius")),
+}
 
 
 def _value(val, kind, key, where):
-    """A JSON value checked against a type annotation such as "float | None"."""
+    """A JSON value checked against a type annotation such as "float | None";
+    a float must be finite."""
     if val is None and kind.endswith(" | None"):
         return None
     kind = kind.replace(" | None", "")
@@ -140,7 +157,11 @@ def _value(val, kind, key, where):
             "key %r in %s has type %s, expected %s"
             % (key, where, type(val).__name__, kind)
         )
-    return float(val) if kind == "float" else val
+    if kind != "float":
+        return val
+    if not abs(val) <= sys.float_info.max:  # json reads NaN and Infinity
+        raise ConfigError("key %r in %s holds %r, not a finite number" % (key, where, val))
+    return float(val)
 
 
 def _read(block, types, path, required=()):
@@ -181,12 +202,14 @@ def _build(cls, block, path):
     return _construct(cls, _read(block, types, path, required), path)
 
 
-def solver_config(block, path="solver"):
+def solver_config(block, path="solver", *, stage=False):
     """SolverConfig from a solver block.
 
     Keys are SolverConfig's fields, ``inner`` and ``stage2`` being nested
     blocks, plus ``preset``: a named experiment preset whose values the
-    block's own keys override. ``mode_fields`` completes single-term modes.
+    block's own keys override. Only a sequential block that is no ``stage2``
+    block itself (``stage``) may hold ``stage2``, as only there a solve reads
+    it. ``mode_fields`` completes single-term modes.
     """
     if isinstance(block, dict) and "preset" in block:
         block = {**_preset_block(block.get("mode", "joint"), block["preset"]), **block}
@@ -194,19 +217,22 @@ def solver_config(block, path="solver"):
     types.update(
         preset="str",
         inner=lambda b, p: _build(InnerSettings, b, p),
-        stage2=solver_config,
+        stage2=lambda b, p: solver_config(b, p, stage=True),
     )
     values = _read(block, types, path)
+    if "stage2" in values and (stage or values.get("mode") != "sequential"):
+        raise ConfigError("key 'stage2' in %s: only a top-level sequential block has one" % path)
     values.pop("preset", None)
     values.update(mode_fields(values.get("mode", "joint"), values))
     return _construct(SolverConfig, values, path)
 
 
-def _read_phantom(block, path):
-    if block is None:
-        return None
-    kind = block.get("type") if isinstance(block, dict) else None
-    return _read(block, _PHANTOM_KEYS, path, _PHANTOM_REQUIRED.get(kind, ()))
+def _read_typed(block, path, tables):
+    """A block read by the (keys, required keys) of the type it names."""
+    kind, keys, required = _one_of(*tables), {}, ("type",)
+    if isinstance(block, dict) and "type" in block:
+        keys, required = tables[kind(block["type"], path + ".type")]
+    return _read(block, {"type": kind, **keys}, path, required)
 
 
 def run_config_from_dict(doc):
@@ -220,8 +246,8 @@ def run_config_from_dict(doc):
         probe=lambda b, p: _build(ProbeGeometry, b, p),
         grid=lambda b, p: _read(b, _GRID_KEYS, p, ["nz"]),
         apodization=lambda b, p: _build(ApodizationSpec, b, p),
-        phantom=_read_phantom,
-        psf=lambda b, p: _read(b, _PSF_KEYS, p, ["type"]),
+        phantom=lambda b, p: None if b is None else _read_typed(b, p, _PHANTOM_TYPES),
+        psf=lambda b, p: _read_typed(b, p, _PSF_TYPES),
         solver=solver_config,
         metrics=lambda b, p: _read(b, _METRICS_KEYS, p),
     )
@@ -233,9 +259,6 @@ def run_config_from_dict(doc):
         _value(angle, "float", "tx_angles", "run config")
         for angle in values.get("tx_angles", [0.0])
     ]
-    psf = values.get("psf", {})
-    if psf.get("type") == "file" and not os.path.exists(psf.get("path") or ""):
-        raise ConfigError("psf file %r does not exist" % psf.get("path"))
     return RunConfig(**values)
 
 

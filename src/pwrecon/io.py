@@ -11,7 +11,7 @@ The metadata JSON carries dims and the geometry dataclasses as dicts
 (``dataclasses.asdict``), enough to rebuild the typed object; ``_KINDS``
 describes each float kind once. A system matrix is the "matrix" kind: its
 CSR arrays plus a geometry fingerprint that is re-derived and checked on
-every read. A reader names the kinds it accepts and refuses any other.
+every read. A reader may name the kind it expects and refuses any other.
 Writes are atomic (write to a temp file, then rename).
 """
 
@@ -36,7 +36,7 @@ from .acquisition import (
     PointTarget,
     ProbeGeometry,
 )
-from .beamform import BModeImage, RfImage
+from .beamform import RfImage
 from .psf import Psf
 
 __all__ = [
@@ -63,7 +63,6 @@ _ANNOTATION_TYPES = {"point": PointTarget, "cyst": CystRegion}
 _KINDS = {
     "channel": (ChannelData, "samples", {"probe": ProbeGeometry, "tx": PlaneWaveTx}),
     "rfimage": (RfImage, "data", {"grid": ImagingGrid}),
-    "bmode": (BModeImage, "data", {"grid": ImagingGrid, "dynamic_range": None}),
     "psf": (Psf, "kernel", {"dz": None, "dx": None}),
     "phantom": (Phantom, "trf", {"grid": ImagingGrid, "annotations": _ANNOTATION_TYPES}),
 }
@@ -207,8 +206,8 @@ def _read_exact(f, n, path, what):
     return buf
 
 
-def read_container(path, *kinds):
-    """Read a container file back into its typed object; with ``kinds``
+def read_container(path, kind=None):
+    """Read a container file back into its typed object; with ``kind``
     given, a file of another kind raises StructureError before its body."""
     with open(path, "rb") as f:
         magic = bytes(_read_exact(f, 4, path, "magic"))
@@ -220,12 +219,12 @@ def read_container(path, *kinds):
                 "%s: container version %d, expected %d"
                 % (path, version, CONTAINER_VERSION)
             )
-        kind = _read_exact(f, kind_len, path, "kind").decode("ascii", "replace")
-        if kind not in PAYLOADS:
-            raise StructureError("%s: unknown kind %r" % (path, kind))
-        if kinds and kind not in kinds:
+        stored = _read_exact(f, kind_len, path, "kind").decode("ascii", "replace")
+        if stored not in PAYLOADS:
+            raise StructureError("%s: unknown kind %r" % (path, stored))
+        if kind is not None and stored != kind:
             raise StructureError(
-                "%s holds a %s container, expected %s" % (path, kind, " or ".join(kinds))
+                "%s holds a %s container, expected %s" % (path, stored, kind)
             )
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata length"))
         meta_bytes = _read_exact(f, meta_len, path, "metadata")
@@ -234,16 +233,16 @@ def read_container(path, *kinds):
         except ValueError as err:  # bad JSON or bad utf-8
             raise StructureError("%s: metadata does not parse: %s" % (path, err))
         arrays = []
-        for dtype in map(np.dtype, PAYLOADS[kind]):
+        for dtype in map(np.dtype, PAYLOADS[stored]):
             (count,) = struct.unpack("<Q", _read_exact(f, 8, path, "payload length"))
             buf = _read_exact(f, count * dtype.itemsize, path, "payload")
             arrays.append(np.frombuffer(buf, dtype=dtype))
     try:
-        return _decode(kind, meta, arrays)
+        return _decode(stored, meta, arrays)
     except (KeyError, TypeError, ValueError) as err:
         raise StructureError(
             "%s: malformed %s container: %s: %s"
-            % (path, kind, type(err).__name__, err)
+            % (path, stored, type(err).__name__, err)
         )
 
 

@@ -15,7 +15,6 @@ from .acquisition import (
 from .beamform import das_beamform, envelope, log_compress
 from .config import ConfigError
 from .forward_model import cached_system_matrix
-from .io import read_container
 from .metrics import (
     MetricsReport,
     annulus_mask,
@@ -165,7 +164,8 @@ def psf_from_model(model, pre_blur=None):
 
 
 def resolve_psf(cfg, model=None):
-    """Kernel selected by the run config: empirical, parametric, or file."""
+    """Kernel selected by the run config: empirical or parametric. A PSF
+    container is given to ``run_reconstruction`` (``solve --psf``) instead."""
     spec = cfg.psf
     kind = spec.get("type", "model")
     if kind == "model":
@@ -174,8 +174,6 @@ def resolve_psf(cfg, model=None):
         return psf_from_model(model, pre_blur=_blur_kernel(cfg))
     if kind == "parametric":
         return _parametric_psf(cfg, spec, lateral_sigma=1.0)
-    if kind == "file":
-        return read_container(spec["path"], "psf")
     raise ConfigError("unknown psf type %r" % kind)
 
 

@@ -432,21 +432,16 @@ def _lap(times, step, start):
 
 
 def _check_geometry(ch, model):
-    """ValueError unless channel data ``ch`` share the transmit and the probe
-    fields that ``model``'s weights depend on (center_freq only labels data)."""
+    """ValueError unless channel data ``ch`` share the transmit, the sample
+    count and the probe fields of ``model``'s weights (center_freq only labels)."""
     names = ("num_elements", "pitch", "sound_speed", "sampling_freq", "t0_offset")
-    pairs = [("tx", ch.tx, model.tx)] + [
-        (f, getattr(ch.probe, f), getattr(model.probe, f)) for f in names
-    ]
+    pairs = [
+        ("tx", ch.tx, model.tx),
+        ("num_samples", ch.num_samples, model.num_time_samples),
+    ] + [(f, getattr(ch.probe, f), getattr(model.probe, f)) for f in names]
     diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
     if diffs:
         raise ValueError("channel data differ from the system matrix in %s" % "; ".join(diffs))
-
-
-def _as_array(x):
-    if isinstance(x, RfImage):
-        return x.data
-    return np.asarray(x, dtype=np.float64) if x is not None else None
 
 
 def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
@@ -457,10 +452,11 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     ----------
     cfg : SolverConfig
     model : SparseSystemMatrix, required when gamma_b > 0.
-    y_ch : ChannelData or flat channel vector, required with ``model``; a
-        ChannelData must share the matrix's transmit and probe geometry.
+    y_ch : ChannelData, required with ``model``; it must share the matrix's
+        transmit, sample count and probe geometry.
     psf : Psf, required when gamma_d > 0.
-    y_das : RfImage or (nz, nx) array, required with ``psf``.
+    y_das : RfImage, required with ``psf``, on the matrix's grid if both are
+        given.
     x0 : optional (nz, nx) array initializing u = w = z (multipliers start
         at zero). Defaults to all zeros.
 
@@ -469,6 +465,9 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     objective exceeds 1e6 times its initial value.
     """
     t_start = time.perf_counter()
+    for name, value, cls in (("y_ch", y_ch, ChannelData), ("y_das", y_das, RfImage)):
+        if value is not None and not isinstance(value, cls):
+            raise ValueError("%s must be of type %s" % (name, cls.__name__))
     if cfg.mode == "sequential":
         return _solve_sequential(cfg, model, y_ch, psf, y_das, x0, t_start)
 
@@ -479,39 +478,22 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     if needs_blur and (psf is None or y_das is None):
         raise ValueError("mode %r needs a PSF and a reference image" % cfg.mode)
 
-    grid = None
-    if isinstance(y_das, RfImage):
-        grid = y_das.grid
-    if model is not None:
-        if grid is not None and model.grid != grid:
-            raise ValueError("reference image grid does not match system matrix")
-        grid = model.grid
-    if grid is None:
-        raise ValueError("need a system matrix or RfImage observation to fix the grid")
+    # one data term is active, so the matrix or the image fixes the grid
+    grid = model.grid if model is not None else y_das.grid
     shape = grid.shape
-
-    y_das_arr = _as_array(y_das)
-    if y_das_arr is not None and y_das_arr.shape != shape:
-        raise ValueError("reference image shape does not match grid")
-    if isinstance(y_ch, ChannelData):
-        if model is not None:
-            _check_geometry(y_ch, model)
-        y_ch_vec = y_ch.to_vector()
-    else:
-        y_ch_vec = _as_array(y_ch)
-        y_ch_vec = None if y_ch_vec is None else y_ch_vec.reshape(-1)
-    if y_ch_vec is not None and model is not None and y_ch_vec.size != model.num_rows:
-        raise ValueError("channel vector length does not match system matrix rows")
+    if y_das is not None and y_das.grid != grid:
+        raise ValueError("reference image grid does not match system matrix")
+    if y_ch is not None and model is not None:
+        _check_geometry(y_ch, model)
 
     # normalize observations to unit peak so mu has a consistent scale
     scale = 1.0
     if cfg.normalize:
-        ref = y_das_arr if needs_blur else y_ch_vec
-        peak = float(np.max(np.abs(ref))) if ref is not None and ref.size else 0.0
+        peak = float(np.max(np.abs(y_das.data if needs_blur else y_ch.samples)))
         if peak > 0:
             scale = peak
-    yd = y_das_arr / scale if y_das_arr is not None else None
-    yc = y_ch_vec / scale if y_ch_vec is not None else None
+    yd = y_das.data / scale if y_das is not None else None
+    yc = y_ch.to_vector() / scale if y_ch is not None else None
 
     init = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=np.float64) / scale
     if init.shape != shape:

@@ -7,12 +7,20 @@ import pytest
 
 from pwrecon import (
     ApodizationSpec,
+    ChannelData,
     ImagingGrid,
     PlaneWaveTx,
     ProbeGeometry,
     build_system_matrix,
     suggest_time_window,
 )
+
+
+def channel_data(model, vec):
+    """The ChannelData whose ``to_vector()`` is ``vec``, a flat vector of
+    ``model``'s rows, recorded with the model's transmit and probe."""
+    samples = np.reshape(vec, (model.num_time_samples, model.probe.num_elements), order="F")
+    return ChannelData(samples, tx=model.tx, probe=model.probe)
 
 
 @pytest.fixture(scope="session")

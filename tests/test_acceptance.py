@@ -23,6 +23,7 @@ from pwrecon.config import (
 from pwrecon.metrics import annulus_mask, cnr, disc_mask, fwhm, gcnr, histogram_match
 from pwrecon.psf import Psf, conv_apply, deconv_update, make_parametric_psf
 
+from conftest import channel_data
 from test_forward_model import dense_oracle
 from test_psf import circular_conv_oracle, dense_circulant
 
@@ -312,7 +313,7 @@ class TestCriterion7MetricUnitValues:
 class TestCriterion8AblationIdentities:
     def test_gamma_d_zero_matches_beamform_only(self, covered_instance, rng):
         model = covered_instance["model"]
-        y_ch = rng.standard_normal(model.num_rows)
+        y_ch = channel_data(model, rng.standard_normal(model.num_rows))
         base = dict(gamma_b=1.0, mu=0.05, beta=2.0, max_iter=30)
         joint = pw.solve(
             pw.SolverConfig(gamma_d=0.0, mode="joint", **base),

@@ -1,9 +1,11 @@
 """Command-line pipeline: subcommands composing through container files."""
 
 import json
+import shlex
 import struct
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from pwrecon import (
     read_container,
     write_container,
 )
-from pwrecon.cli import main
+from pwrecon.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -251,6 +255,15 @@ class TestCliErrors:
     def test_unknown_flag_exits_2(self, small_config):
         with pytest.raises(SystemExit) as err:
             main(["das", "--config", str(small_config), "--bogus", "x"])
+        assert err.value.code == 2
+
+    def test_solve_takes_no_preset_flag(self, small_config, tmp_path):
+        # a preset is a solver-block key, the one place its normalization is set
+        with pytest.raises(SystemExit) as err:
+            main([
+                "solve", "--config", str(small_config), "--preset", "sr",
+                "--out", str(tmp_path / "o.usjd"),
+            ])
         assert err.value.code == 2
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -631,3 +644,22 @@ class TestRunReconstructionBuildsMatrixOnDemand:
         given = pipeline.run_reconstruction(cfg, model, None, y_das=y_das)
         assert len(calls) == 1
         assert np.array_equal(report.result.data, given.result.data)
+
+
+def _readme_cli_commands():
+    """The commands of the sh block under README's CLI heading, with
+    backslash continuations joined and comments dropped."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = (shlex.split(line, comments=True) for line in lines)
+    return [argv for argv in commands if argv]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) == 8
+    parser = _build_parser()
+    for argv in commands:
+        assert argv[0] == "pwrecon"
+        parser.parse_args(argv[1:])  # a flag README names but the CLI lacks exits 2

@@ -1,6 +1,7 @@
 """Run-config reading: strict keys and types, solver blocks, the mode rule."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -45,19 +46,68 @@ BAD_DOCS = {
     "center_of_one": (lambda d: d.update(phantom=_cyst([8.2e-3])), "center"),
 }
 
+# Numbers json reads as NaN or Infinity: each would reach a solve, a
+# simulation or a metric.
+NON_FINITE = {
+    "mu_nan": (lambda d: d["solver"].update(mu=math.nan), "mu"),
+    "beta_infinity": (lambda d: d["solver"].update(beta=math.inf), "beta"),
+    "epsilon_nan": (lambda d: d["solver"].update(epsilon=math.nan), "epsilon"),
+    "inner_tol_nan": (lambda d: d["solver"].update(inner={"tol": math.nan}), "tol"),
+    "snr_db_nan": (lambda d: d["phantom"].update(snr_db=math.nan), "snr_db"),
+    "amplitude_nan": (lambda d: d["phantom"].update(amplitude=math.nan), "amplitude"),
+    "point_nan": (lambda d: d["phantom"].update(points=[[math.nan, 0.0]]), "points"),
+    "angle_minus_infinity": (lambda d: d.update(tx_angles=[-math.inf]), "tx_angles"),
+    "pitch_infinity": (lambda d: d["probe"].update(pitch=math.inf), "pitch"),
+    "dynamic_range_nan": (lambda d: d.update(dynamic_range=math.nan), "dynamic_range"),
+    "roi_ratio_nan": (lambda d: d["metrics"].update(roi_ratio=math.nan), "roi_ratio"),
+    "integer_past_float_range": (lambda d: d["solver"].update(mu=10**400), "mu"),
+}
 
-@pytest.mark.parametrize("case", sorted(BAD_DOCS))
+
+def _stage2_in_stage2(doc):
+    stage2 = {"mode": "deconv_only", "stage2": {"mode": "deconv_only", "mu": 0.5}}
+    doc["solver"] = {**DESK_SEQUENTIAL["desk_point"], "stage2": stage2}
+
+
+# Blocks the program would not read: an unknown type or kind, a key of
+# another type, a second stage outside a sequential block.
+IGNORED = {
+    "phantom_type": (lambda d: d["phantom"].update(type="line"), "type"),
+    "psf_type": (lambda d: d.update(psf={"type": "bogus"}), "type"),
+    "psf_file": (lambda d: d.update(psf={"type": "file", "path": "k.usjd"}), "type"),
+    "psf_path": (lambda d: d["psf"].update(path="k.usjd"), "path"),
+    "metrics_kind": (lambda d: d["metrics"].update(kind="line"), "kind"),
+    "points_on_a_cyst": (
+        lambda d: d.update(phantom={**_cyst([8.2e-3, 0.0]), "points": [[8e-3, 0.0]]}),
+        "points",
+    ),
+    "amplitude_on_a_cyst": (
+        lambda d: d.update(phantom={**_cyst([8.2e-3, 0.0]), "amplitude": 2.0}),
+        "amplitude",
+    ),
+    "shape_on_a_model_psf": (
+        lambda d: d.update(psf={"type": "model", "axial_fbw": 0.67}), "axial_fbw"
+    ),
+    "stage2_in_joint": (
+        lambda d: d["solver"].update(stage2={"mode": "deconv_only"}), "stage2"
+    ),
+    "stage2_in_stage2": (_stage2_in_stage2, "stage2"),
+}
+EVERY_BAD_DOC = {**BAD_DOCS, **NON_FINITE, **IGNORED}
+
+
+@pytest.mark.parametrize("case", sorted(EVERY_BAD_DOC))
 def test_bad_config_raises_config_error_naming_the_key(case):
-    edit, key = BAD_DOCS[case]
+    edit, key = EVERY_BAD_DOC[case]
     doc = get_builtin_config("desk_point")
     edit(doc)
     with pytest.raises(ConfigError, match=repr(key)):
         run_config_from_dict(doc)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_DOCS))
+@pytest.mark.parametrize("case", sorted(EVERY_BAD_DOC))
 def test_bad_config_exits_4_through_the_cli(case, tmp_path, capsys):
-    edit, key = BAD_DOCS[case]
+    edit, key = EVERY_BAD_DOC[case]
     doc = get_builtin_config("desk_point")
     edit(doc)
     path = tmp_path / "config.json"
@@ -77,6 +127,7 @@ def test_run_config_takes_exactly_one_angle(angles):
 
 def _blocks(doc):
     """Every block of a full document, by path."""
+    doc["solver"]["mode"] = "sequential"  # the one mode that reads stage2
     doc["solver"]["inner"] = {"max_iter": 20}
     doc["solver"]["stage2"] = {"mode": "deconv_only", "mu": 0.1}
     return {

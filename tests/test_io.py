@@ -3,7 +3,7 @@
 import json
 import struct
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from pwrecon import (
     Psf,
     RfImage,
     load_matrix,
-    load_run_config,
     make_point_phantom,
     read_container,
     write_container,
@@ -35,7 +34,6 @@ from pwrecon.io import (
     VersionMismatchError,
     ingest_picmus,
 )
-from pwrecon.pipeline import resolve_psf
 
 
 class TestContainerRoundTrip:
@@ -64,12 +62,7 @@ class TestContainerRoundTrip:
         assert back.tx.angle == 0.05
         assert np.array_equal(back.samples.astype("<f4"), ch.samples.astype("<f4"))
 
-    def test_bmode_and_psf_and_phantom(self, tiny_grid, rng, tmp_path):
-        bm = BModeImage(-60.0 * rng.random(tiny_grid.shape), tiny_grid, 60.0)
-        write_container(bm, tmp_path / "b.usjd")
-        back = read_container(tmp_path / "b.usjd")
-        assert isinstance(back, BModeImage) and back.dynamic_range == 60.0
-
+    def test_psf_and_phantom(self, tiny_grid, rng, tmp_path):
         psf = Psf(kernel=rng.standard_normal((5, 3)), dz=1e-4, dx=3e-4)
         write_container(psf, tmp_path / "p.usjd")
         back = read_container(tmp_path / "p.usjd")
@@ -166,8 +159,6 @@ def _sample(kind, seed, nz, nx, z_origin, instance):
         return ChannelData(samples, PlaneWaveTx(angle=z_origin), instance["probe"])
     if kind == "rfimage":
         return RfImage(rng.standard_normal(grid.shape), grid)
-    if kind == "bmode":
-        return BModeImage(-60.0 * rng.random(grid.shape), grid, 60.0)
     if kind == "psf":
         return Psf(rng.standard_normal((2 * nz - 1, 2 * nx - 1)), dz=grid.dz, dx=None)
     annotations = [
@@ -238,9 +229,6 @@ def _pinned_meta(kind, obj):
                 "tx": asdict(obj.tx)}
     if kind == "rfimage":
         return {"dims": list(obj.data.shape), "grid": asdict(obj.grid)}
-    if kind == "bmode":
-        return {"dims": list(obj.data.shape), "grid": asdict(obj.grid),
-                "dynamic_range": obj.dynamic_range}
     if kind == "psf":
         return {"dims": list(obj.kernel.shape), "dz": obj.dz, "dx": obj.dx}
     point, cyst = obj.annotations
@@ -261,7 +249,7 @@ class TestPinnedFormat:
     """Each kind writes exactly the bytes the format description gives."""
 
     @pytest.mark.parametrize(
-        "kind", ["channel", "rfimage", "bmode", "psf", "phantom", "matrix"]
+        "kind", ["channel", "rfimage", "psf", "phantom", "matrix"]
     )
     def test_written_bytes(self, tiny_instance, tmp_path, kind):
         obj = _sample(kind, 3, 4, 5, 0.25, tiny_instance)
@@ -286,19 +274,20 @@ class TestExpectedKinds:
         return path
 
     def test_other_kind_is_refused_naming_both(self, rfimage_file):
-        assert isinstance(read_container(rfimage_file, "bmode", "rfimage"), RfImage)
-        with pytest.raises(StructureError, match="holds a rfimage container, expected psf or"):
-            read_container(rfimage_file, "psf", "bmode")
+        assert isinstance(read_container(rfimage_file, "rfimage"), RfImage)
+        with pytest.raises(StructureError, match="holds a rfimage container, expected psf$"):
+            read_container(rfimage_file, "psf")
+
+    def test_bmode_is_no_container_kind(self, tiny_grid, rng, tmp_path):
+        # nothing writes a log-compressed image; export-png renders an rfimage
+        bm = BModeImage(-60.0 * rng.random(tiny_grid.shape), tiny_grid, 60.0)
+        with pytest.raises(TypeError, match="BModeImage"):
+            write_container(bm, tmp_path / "b.usjd")
+        assert "bmode" not in PAYLOADS
 
     def test_load_matrix_refuses_an_image(self, rfimage_file):
         with pytest.raises(StructureError, match="expected matrix"):
             load_matrix(rfimage_file)
-
-    def test_psf_file_holding_an_image_is_a_container_error(self, rfimage_file):
-        cfg = load_run_config("builtin:desk_point")
-        cfg = replace(cfg, psf={"type": "file", "path": str(rfimage_file)})
-        with pytest.raises(ContainerError, match="expected psf"):
-            resolve_psf(cfg)
 
 
 def make_picmus_file(path, num_angles=5, num_elements=16, num_samples=64,

@@ -24,6 +24,8 @@ from pwrecon import (
     write_container,
 )
 
+from conftest import channel_data
+
 SPANS = Path(__file__).resolve().parents[1] / "pwbench" / "spans.py"
 
 
@@ -99,7 +101,7 @@ def test_inner_iteration_hook_on_updates_given_earlier_solutions(
     report = solve(
         cfg,
         model=model,
-        y_ch=rng.standard_normal(model.num_rows),
+        y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
         x0=rng.standard_normal(covered_instance["grid"].shape),
     )
     assert report.iterations == 6
@@ -116,7 +118,7 @@ def test_solve_iteration_hook_counts_both_sequential_stages(covered_instance):
     cfg = SolverConfig(gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, mode="sequential")
     kwargs = dict(
         model=model,
-        y_ch=model.apply(x.reshape(-1, order="F")),
+        y_ch=channel_data(model, model.apply(x.reshape(-1, order="F"))),
         psf=Psf(kernel=np.outer([0.5, 1.0, 0.5], [0.5, 1.0, 0.5])),
     )
     attrs, report = _hook("solver.solve", solve, (cfg,), kwargs)

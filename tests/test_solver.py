@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwrecon import (
+    ChannelData,
     InnerSettings,
     Psf,
     RfImage,
@@ -19,6 +20,8 @@ from pwrecon import (
     sparsity_update,
 )
 from pwrecon.solver import SolverState, _conjugate_residual, _NormalEquations
+
+from conftest import channel_data
 
 
 def make_psf(rng, shape=(5, 3)):
@@ -230,9 +233,9 @@ class TestSolve:
         report = solve(
             cfg,
             model=model,
-            y_ch=np.zeros(model.num_rows),
+            y_ch=channel_data(model, np.zeros(model.num_rows)),
             psf=psf,
-            y_das=np.zeros(model.grid.shape),
+            y_das=RfImage(np.zeros(model.grid.shape), model.grid),
         )
         assert report.iterations == 1
         assert report.converged
@@ -261,7 +264,7 @@ class TestSolve:
             inner=InnerSettings(max_iter=600, tol=1e-13),
             normalize=False,
         )
-        report = solve(cfg, model=model, y_ch=y_ch)
+        report = solve(cfg, model=model, y_ch=channel_data(model, y_ch))
         dense = model.matrix.toarray()
         lhs = dense.T @ dense + beta * np.eye(model.num_cols)
         expected = np.linalg.solve(lhs, dense.T @ y_ch).reshape(grid.shape, order="F")
@@ -278,7 +281,10 @@ class TestSolve:
 
         y_das = conv_apply(psf, x)
         cfg = SolverConfig(gamma_d=1.0, gamma_b=0.2, mu=0.05, beta=3.0, max_iter=15)
-        report = solve(cfg, model=model, y_ch=y_ch, psf=psf, y_das=y_das)
+        report = solve(
+            cfg, model=model, y_ch=channel_data(model, y_ch), psf=psf,
+            y_das=RfImage(y_das, grid),
+        )
         hist = report.state.objective_history
         assert len(hist) == report.iterations + 1
         assert np.all(np.isfinite(hist))
@@ -289,7 +295,7 @@ class TestSolve:
         self, covered_instance, rng
     ):
         model = covered_instance["model"]
-        y_ch = rng.standard_normal(model.num_rows)
+        y_ch = channel_data(model, rng.standard_normal(model.num_rows))
         # a warm start: from zero both solves stall at iteration 2 with u == z
         x0 = rng.standard_normal(covered_instance["grid"].shape)
         base = dict(gamma_b=1.0, mu=0.02, beta=1.0, max_iter=40)
@@ -341,7 +347,7 @@ class TestSolve:
         psf = make_psf(rng)
         x = np.zeros(grid.shape)
         x[6, 6] = 1.0
-        y_ch = model.apply(x.reshape(-1, order="F"))
+        y_ch = channel_data(model, model.apply(x.reshape(-1, order="F")))
         cfg = SolverConfig(
             gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, mode="sequential",
             stage2=SolverConfig(gamma_d=1.0, gamma_b=0.0, mu=0.01, beta=2.0,
@@ -361,7 +367,7 @@ class TestSolve:
         model = covered_instance["model"]
         x = np.zeros(covered_instance["grid"].shape)
         x[6, 6] = 1.0
-        y_ch = model.apply(x.reshape(-1, order="F"))
+        y_ch = channel_data(model, model.apply(x.reshape(-1, order="F")))
         cfg = SolverConfig(gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, mode="sequential")
         report = solve(cfg, model=model, y_ch=y_ch, psf=make_psf(rng))
         stage1, stage2 = (stage.config for stage in report.stages)
@@ -377,7 +383,7 @@ class TestSolve:
             solve(
                 SolverConfig(mode="joint"),
                 model=model,
-                y_ch=np.zeros(model.num_rows),
+                y_ch=channel_data(model, np.zeros(model.num_rows)),
                 psf=None,
             )
 
@@ -401,7 +407,10 @@ class TestSolve:
         monkeypatch.setattr(solver_mod, "deconv_update", exploding_update)
         cfg = SolverConfig(gamma_d=1.0, gamma_b=0.2, mu=0.01, beta=2.0, max_iter=5)
         with pytest.raises(DivergenceError) as err:
-            solve(cfg, model=model, y_ch=y_ch, psf=psf, y_das=y_das)
+            solve(
+                cfg, model=model, y_ch=channel_data(model, y_ch), psf=psf,
+                y_das=RfImage(y_das, grid),
+            )
         assert len(err.value.trace) >= 2
 
     def test_config_invariants(self):
@@ -424,7 +433,10 @@ class TestSolve:
         y_das = np.zeros(grid.shape)
         y_ch = model.apply(x.reshape(-1, order="F"))
         cfg = SolverConfig(gamma_d=1.0, gamma_b=0.2, mu=0.01, beta=2.0, max_iter=5)
-        report = solve(cfg, model=model, y_ch=y_ch, psf=psf, y_das=y_das)
+        report = solve(
+            cfg, model=model, y_ch=channel_data(model, y_ch), psf=psf,
+            y_das=RfImage(y_das, grid),
+        )
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["iterations"] == report.iterations
         assert len(doc["objective_history"]) == report.iterations + 1
@@ -452,8 +464,8 @@ class TestSolve:
         psf = make_psf(rng)
         x0 = rng.standard_normal(grid.shape)
         args = dict(
-            model=model, y_ch=rng.standard_normal(model.num_rows), psf=psf,
-            y_das=rng.standard_normal(grid.shape), x0=x0,
+            model=model, y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
+            psf=psf, y_das=RfImage(rng.standard_normal(grid.shape), grid), x0=x0,
         )
         cfg = SolverConfig(gamma_d=1.0, gamma_b=0.2, mu=0.01, beta=2.0, max_iter=1)
         first = solve(cfg, **args)
@@ -478,11 +490,10 @@ class TestChannelGeometry:
     """Channel data must be recorded with the geometry the system matrix models."""
 
     @staticmethod
-    def _solve(inst, rng, tx=None, **probe_changes):
-        from pwrecon import ChannelData
-
+    def _solve(inst, rng, tx=None, num_samples=None, **probe_changes):
         model = inst["model"]
-        samples = rng.standard_normal((inst["num_samples"], inst["probe"].num_elements))
+        num = num_samples or inst["num_samples"]
+        samples = rng.standard_normal((num, inst["probe"].num_elements))
         ch = ChannelData(
             samples, tx=tx or inst["tx"], probe=replace(inst["probe"], **probe_changes)
         )
@@ -517,18 +528,44 @@ class TestChannelGeometry:
         assert np.all(np.isfinite(report.result.data))
 
     def test_image_passed_as_channel_data_fails_on_length(self, covered_instance, rng):
-        # an RfImage is no ChannelData: it is read as a flat vector of pixels
+        # an RfImage is no ChannelData, whatever its length
         grid = covered_instance["grid"]
         image = RfImage(rng.standard_normal(grid.shape), grid)
         cfg = SolverConfig(gamma_d=0.0, mode="beamform_only", max_iter=3)
-        with pytest.raises(ValueError, match="channel vector length"):
+        with pytest.raises(ValueError, match="y_ch must be of type ChannelData"):
             solve(cfg, model=covered_instance["model"], y_ch=image)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_other_sample_count_names_num_samples(self, covered_instance, rng, extra):
+        num = covered_instance["num_samples"]
+        with pytest.raises(ValueError, match="in num_samples %d vs %d" % (num + extra, num)):
+            self._solve(covered_instance, rng, num_samples=num + extra)
+
+
+class TestTypedObservations:
+    """solve() reads channel data only as ChannelData and the reference
+    image only as RfImage; any other form is refused by argument name."""
+
+    @pytest.mark.parametrize("form", ["flat", "samples"])
+    def test_bare_channel_array_is_refused(self, covered_instance, rng, form):
+        model = covered_instance["model"]
+        ch = channel_data(model, rng.standard_normal(model.num_rows))
+        y_ch = ch.to_vector() if form == "flat" else ch.samples
+        cfg = SolverConfig(gamma_d=0.0, mode="beamform_only", max_iter=3)
+        with pytest.raises(ValueError, match="^y_ch must be of type ChannelData$"):
+            solve(cfg, model=model, y_ch=y_ch)
+
+    def test_bare_image_array_is_refused(self, covered_instance, rng):
+        grid = covered_instance["grid"]
+        cfg = SolverConfig(gamma_b=0.0, mode="deconv_only", max_iter=3)
+        with pytest.raises(ValueError, match="^y_das must be of type RfImage$"):
+            solve(cfg, psf=make_psf(rng), y_das=rng.standard_normal(grid.shape))
 
 
 class TestInnerOutcomes:
     def _channel_solve(self, covered_instance, rng, inner):
         model = covered_instance["model"]
-        y_ch = rng.standard_normal(model.num_rows)
+        y_ch = channel_data(model, rng.standard_normal(model.num_rows))
         cfg = SolverConfig(
             gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, max_iter=6,
             epsilon=1e-12, mode="beamform_only", inner=inner,
@@ -581,8 +618,8 @@ class TestInnerOutcomes:
             epsilon=1e-12, inner=inner,
         )
         report = solve(
-            cfg, model=model, y_ch=rng.standard_normal(model.num_rows),
-            psf=make_psf(rng), y_das=rng.standard_normal(grid.shape),
+            cfg, model=model, y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
+            psf=make_psf(rng), y_das=RfImage(rng.standard_normal(grid.shape), grid),
             x0=rng.standard_normal(grid.shape) if warm else None,
         )
         state = report.state
@@ -708,7 +745,10 @@ class TestRecycledStart:
             gamma_d=gamma_d, gamma_b=gamma_b, mu=mu, beta=beta, epsilon=1e-12,
             max_iter=12, inner=inner,
         )
-        args = dict(model=model, y_ch=y_ch, psf=psf, y_das=y_das, x0=x0)
+        args = dict(
+            model=model, y_ch=channel_data(model, y_ch), psf=psf,
+            y_das=RfImage(y_das, grid), x0=x0,
+        )
         # the z update solved densely: 256 columns
         phi = model.matrix.toarray()
         normal = gamma_b * phi.T @ phi + beta * np.eye(phi.shape[1])
@@ -791,8 +831,8 @@ class TestRecycledStart:
 
         def inputs():
             return dict(
-                model=model, y_ch=rng.standard_normal(model.num_rows),
-                psf=make_psf(rng), y_das=rng.standard_normal(grid.shape),
+                model=model, y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
+                psf=make_psf(rng), y_das=RfImage(rng.standard_normal(grid.shape), grid),
             )
 
         cfg = SolverConfig(gamma_d=1.0, gamma_b=0.5, mu=0.01, beta=2.0, max_iter=8)
