@@ -150,6 +150,8 @@ class ChannelData:
                 "samples have %d columns but probe has %d elements"
                 % (self.samples.shape[1], self.probe.num_elements)
             )
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("channel data contain non-finite samples")
 
     @property
     def num_samples(self):

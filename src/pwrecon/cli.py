@@ -2,9 +2,10 @@
 export-png and ingest-picmus, composing through container files.
 
 Each subcommand reads its input files, calls the library and writes its
-outputs. Which observations a reconstruction mode needs is decided by
-``pipeline.run_reconstruction``; contrast and resolution are scored by
-``pipeline.measure`` and its contrast helper.
+outputs. Which observations a reconstruction mode reads is decided by
+``solver.observations_needed``; ``pipeline.run_reconstruction`` derives
+those not given. Contrast and resolution are scored by ``pipeline.measure``
+and its contrast helper.
 
 Each input flag reads the container kind it names.
 

@@ -25,7 +25,7 @@ from .metrics import (
     histogram_match,
 )
 from .psf import Psf, conv_apply, make_parametric_psf
-from .solver import solve
+from .solver import observations_needed, solve
 
 __all__ = [
     "build_model",
@@ -180,24 +180,22 @@ def resolve_psf(cfg, model=None):
 def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
     """Solve with the config's mode, deriving missing observations.
 
-    The channel term (``gamma_b > 0``, and the first stage of sequential
-    mode) reads ``ch``; the blur term reads ``y_das``, computed by
-    delay-and-sum from ``ch`` when not given. With ``model`` None the
-    system matrix is built from ``cfg`` only if one of those, or a
+    ``solver.observations_needed`` names what the mode reads: ``ch`` for
+    the channel term, and a PSF and ``y_das`` for the blur term, ``y_das``
+    computed by delay-and-sum from ``ch`` when not given. With ``model``
+    None the system matrix is built from ``cfg`` only if one of those, or a
     ``"model"`` PSF, needs it.
     """
     scfg = cfg.solver
-    sequential = scfg.mode == "sequential"
-    needs_channel = scfg.gamma_b > 0 or sequential
-    # sequential mode deblurs its own first stage, never a DAS image
-    needs_das = y_das is None and scfg.gamma_d > 0 and not sequential
-    needs_psf = psf is None and (scfg.gamma_d > 0 or sequential)
-    if ch is None and needs_channel:
+    needs = observations_needed(scfg)
+    needs_das = y_das is None and needs["das"]
+    needs_psf = psf is None and needs["psf"]
+    if ch is None and needs["channel"]:
         raise ConfigError("mode %r needs --channel data" % scfg.mode)
     if ch is None and needs_das:
         raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
     model_psf = needs_psf and cfg.psf.get("type", "model") == "model"
-    if model is None and (needs_channel or needs_das or model_psf):
+    if model is None and (needs["channel"] or needs_das or model_psf):
         model = build_model(cfg)
     if needs_das:
         y_das = reference_das(model, ch)

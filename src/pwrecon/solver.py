@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "multiplier_update",
     "solve",
     "mode_fields",
+    "observations_needed",
 ]
 
 MODES = ("joint", "beamform_only", "deconv_only", "sequential")
@@ -80,6 +82,19 @@ def mode_fields(mode, values):
     if mode == "deconv_only":
         return {"mode": mode, "gamma_b": 0.0, "gamma_d": values.get("gamma_d") or 1.0}
     return {"mode": mode}
+
+
+def observations_needed(cfg):
+    """Which observations a solve in ``cfg``'s mode reads: ``channel`` (a
+    system matrix and channel data), ``psf`` and ``das`` (a reference image).
+    A term of zero weight reads nothing; sequential mode reads channel data
+    and a PSF, never a DAS image, as stage 2 deblurs stage 1's output."""
+    sequential = cfg.mode == "sequential"
+    return {
+        "channel": cfg.gamma_b > 0 or sequential,
+        "psf": cfg.gamma_d > 0 or sequential,
+        "das": cfg.gamma_d > 0 and not sequential,
+    }
 
 
 class SolverError(RuntimeError):
@@ -158,7 +173,6 @@ class SolverState:
     z: np.ndarray
     lam1: np.ndarray
     lam2: np.ndarray
-    iter: int = 0
     objective_history: list = field(default_factory=list)
     primal_residuals: list = field(default_factory=list)  # (|u-z|, |u-w|)
     inner_iterations: list = field(default_factory=list)  # CR steps per iteration
@@ -403,17 +417,27 @@ def multiplier_update(state, beta):
     return state
 
 
-class _CountedProducts:
-    """One solve's handle on a shared system matrix: counts the products
-    made through it and passes everything else to the matrix."""
+class _ChannelTerm:
+    """One solve's channel-data term: the shared system matrix, the channel
+    data ``y`` as the solve normalized them, and the products made through
+    the matrix, counted here so that the shared matrix keeps no per-solve
+    state. Channel data must share the transmit, the sample count and the
+    probe fields of the matrix's weights (center_freq only labels)."""
 
-    def __init__(self, model):
-        self.model = model
-        self.forward = 0
-        self.adjoint = 0
-
-    def __getattr__(self, name):
-        return getattr(self.model, name)
+    def __init__(self, model, ch, scale):
+        names = ("num_elements", "pitch", "sound_speed", "sampling_freq", "t0_offset")
+        pairs = [
+            ("tx", ch.tx, model.tx),
+            ("num_samples", ch.num_samples, model.num_time_samples),
+        ] + [(f, getattr(ch.probe, f), getattr(model.probe, f)) for f in names]
+        diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
+        if diffs:
+            raise ValueError(
+                "channel data differ from the system matrix in %s" % "; ".join(diffs)
+            )
+        self.model, self.matrix = model, model.matrix
+        self.y = ch.to_vector() / scale
+        self.forward = self.adjoint = 0
 
     def apply(self, x):
         self.forward += 1
@@ -431,19 +455,6 @@ def _lap(times, step, start):
     return now
 
 
-def _check_geometry(ch, model):
-    """ValueError unless channel data ``ch`` share the transmit, the sample
-    count and the probe fields of ``model``'s weights (center_freq only labels)."""
-    names = ("num_elements", "pitch", "sound_speed", "sampling_freq", "t0_offset")
-    pairs = [
-        ("tx", ch.tx, model.tx),
-        ("num_samples", ch.num_samples, model.num_time_samples),
-    ] + [(f, getattr(ch.probe, f), getattr(model.probe, f)) for f in names]
-    diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
-    if diffs:
-        raise ValueError("channel data differ from the system matrix in %s" % "; ".join(diffs))
-
-
 def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     """Run the full splitting cycle until the relative objective change
     falls below epsilon or max_iter is reached.
@@ -451,96 +462,99 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     Parameters
     ----------
     cfg : SolverConfig
-    model : SparseSystemMatrix, required when gamma_b > 0.
-    y_ch : ChannelData, required with ``model``; it must share the matrix's
-        transmit, sample count and probe geometry.
-    psf : Psf, required when gamma_d > 0.
-    y_das : RfImage, required with ``psf``, on the matrix's grid if both are
-        given.
-    x0 : optional (nz, nx) array initializing u = w = z (multipliers start
-        at zero). Defaults to all zeros.
+    model : SparseSystemMatrix, with ``y_ch`` when the mode reads channel data.
+    y_ch : ChannelData; it must share the matrix's transmit, sample count and
+        probe geometry.
+    psf : Psf, when the mode reads a PSF.
+    y_das : RfImage, when the mode reads a reference image; on the matrix's
+        grid if a matrix is given.
+    x0 : optional finite (nz, nx) array initializing u = w = z (multipliers
+        start at zero). Defaults to all zeros.
 
-    Returns a SolveReport whose result is the iterate the stopping test
-    tracks: u, or z whenever gamma_d = 0. Raises DivergenceError if the
-    objective exceeds 1e6 times its initial value.
+    ``observations_needed`` decides what the mode reads; channel data or a
+    reference image it does not read are only type-checked. Returns a
+    SolveReport whose result is the iterate the stopping test tracks: u, or
+    z whenever gamma_d = 0. Raises DivergenceError if the objective exceeds
+    1e6 times its initial value.
     """
     t_start = time.perf_counter()
     for name, value, cls in (("y_ch", y_ch, ChannelData), ("y_das", y_das, RfImage)):
         if value is not None and not isinstance(value, cls):
             raise ValueError("%s must be of type %s" % (name, cls.__name__))
-    if cfg.mode == "sequential":
-        return _solve_sequential(cfg, model, y_ch, psf, y_das, x0, t_start)
-
-    needs_channel = cfg.gamma_b > 0
-    needs_blur = cfg.gamma_d > 0
-    if needs_channel and (model is None or y_ch is None):
+    needs = observations_needed(cfg)
+    if needs["channel"] and (model is None or y_ch is None):
         raise ValueError("mode %r needs a system matrix and channel data" % cfg.mode)
-    if needs_blur and (psf is None or y_das is None):
-        raise ValueError("mode %r needs a PSF and a reference image" % cfg.mode)
+    if needs["psf"] and psf is None:
+        raise ValueError("mode %r needs a PSF" % cfg.mode)
+    if needs["das"] and y_das is None:
+        raise ValueError("mode %r needs a reference image" % cfg.mode)
+    if cfg.mode == "sequential":
+        return _solve_sequential(cfg, model, y_ch, psf, x0, t_start)
 
     # one data term is active, so the matrix or the image fixes the grid
     grid = model.grid if model is not None else y_das.grid
     shape = grid.shape
-    if y_das is not None and y_das.grid != grid:
+    if needs["das"] and y_das.grid != grid:
         raise ValueError("reference image grid does not match system matrix")
-    if y_ch is not None and model is not None:
-        _check_geometry(y_ch, model)
-
-    # normalize observations to unit peak so mu has a consistent scale
-    scale = 1.0
-    if cfg.normalize:
-        peak = float(np.max(np.abs(y_das.data if needs_blur else y_ch.samples)))
-        if peak > 0:
-            scale = peak
-    yd = y_das.data / scale if y_das is not None else None
-    yc = y_ch.to_vector() / scale if y_ch is not None else None
-
-    init = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=np.float64) / scale
-    if init.shape != shape:
+    x0 = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=np.float64)
+    if x0.shape != shape:
         raise ValueError("x0 shape does not match grid")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 contains non-finite values")
+    # normalize observations to unit peak so mu has a consistent scale
+    peak = float(np.max(np.abs(y_das.data if needs["das"] else y_ch.samples)))
+    scale = peak if cfg.normalize and peak > 0 else 1.0
+    channel = _ChannelTerm(model, y_ch, scale) if needs["channel"] else None
+    yd = y_das.data / scale if needs["das"] else np.zeros(shape)
+    init = x0 / scale
     state = SolverState(
-        u=init.copy(),
-        w=init.copy(),
-        z=init.copy(),
-        lam1=np.zeros(shape),
-        lam2=np.zeros(shape),
+        u=init.copy(), w=init.copy(), z=init.copy(), lam1=np.zeros(shape), lam2=np.zeros(shape)
     )
     # the stopping objective tracks the fidelity-side iterate: u whenever the
     # blur term is active, otherwise z (u lags z by a cycle when gamma_d = 0)
-    track_u = cfg.gamma_d > 0.0
-    if model is not None:
-        model = _CountedProducts(model)
+    tracked = attrgetter("u" if cfg.gamma_d > 0.0 else "z")
+
+    converged, iterations = _admm(cfg, state, tracked, channel, psf, yd)
+
+    return SolveReport(
+        result=RfImage(data=tracked(state) * scale, grid=grid),
+        converged=converged,
+        iterations=iterations,
+        wall_time=time.perf_counter() - t_start,
+        config=cfg,
+        state=state,
+        scale=scale,
+    )
+
+
+def _admm(cfg, state, tracked, channel, psf, yd):
+    """The ADMM cycle on ``state`` from its initial iterates, with the
+    objective taken at the ``tracked`` one; returns (converged, iterations).
+    ``channel`` is None when gamma_b = 0."""
+    yc = equations = None
+    if channel is not None:
+        # the z updates' normal equations: Phi^T y_ch once, and each inner
+        # solve started from the earlier ones
+        yc = channel.y
+        equations = _NormalEquations(
+            channel, yc, cfg.gamma_b, cfg.beta, _BASIS_COLUMNS, z0=state.z
+        )
     times = state.step_seconds
     clock = time.perf_counter()
-    obj0 = objective(state.u if track_u else state.z, yd, psf, model, yc, cfg)
+    obj0 = objective(tracked(state), yd, psf, channel, yc, cfg)
     _lap(times, "objective", clock)
     state.objective_history.append(obj0)
     guard = 1e6 * max(obj0, _TINY)
-    # the z updates' normal equations: Phi^T y_ch once, and each inner solve
-    # started from the earlier ones
-    equations = None
-    if needs_channel:
-        equations = _NormalEquations(
-            model, yc, cfg.gamma_b, cfg.beta, _BASIS_COLUMNS, z0=state.z
-        )
 
-    converged = False
     for it in range(1, cfg.max_iter + 1):
         z_prev, w_prev = state.z, state.w
         clock = time.perf_counter()
         state.u = deconv_update(
-            yd if yd is not None else np.zeros(shape),
-            psf,
-            state.w,
-            state.z,
-            state.lam1,
-            state.lam2,
-            cfg.gamma_d,
-            cfg.beta,
+            yd, psf, state.w, state.z, state.lam1, state.lam2, cfg.gamma_d, cfg.beta
         )
         clock = _lap(times, "u", clock)
         state.z, norms = beamform_update(
-            model, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner,
+            channel, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner,
             equations=equations,
         )
         state.inner_iterations.append(len(norms) - 1)
@@ -548,24 +562,18 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
         state.w = sparsity_update(state.u, state.lam1, cfg.mu, cfg.beta)
         _lap(times, "w", clock)
         multiplier_update(state, cfg.beta)
-        state.iter = it
 
         clock = time.perf_counter()
-        obj = objective(state.u if track_u else state.z, yd, psf, model, yc, cfg)
+        obj = objective(tracked(state), yd, psf, channel, yc, cfg)
         _lap(times, "objective", clock)
         state.objective_history.append(obj)
         state.primal_residuals.append(
-            (
-                float(np.linalg.norm(state.u - state.z)),
-                float(np.linalg.norm(state.u - state.w)),
-            )
+            (float(np.linalg.norm(state.u - state.z)), float(np.linalg.norm(state.u - state.w)))
         )
-        state.dual_residuals.append(
-            (
-                cfg.beta * float(np.linalg.norm(state.z - z_prev)),
-                cfg.beta * float(np.linalg.norm(state.w - w_prev)),
-            )
-        )
+        state.dual_residuals.append((
+            cfg.beta * float(np.linalg.norm(state.z - z_prev)),
+            cfg.beta * float(np.linalg.norm(state.w - w_prev)),
+        ))
         if not np.isfinite(obj):
             raise SolverError(
                 "non-finite objective at iteration %d" % it, state.objective_history
@@ -575,32 +583,18 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
                 "objective diverged at iteration %d" % it, state.objective_history
             )
         prev = state.objective_history[-2]
-        if abs(obj - prev) / max(prev, _TINY) <= cfg.epsilon:
-            converged = True
+        converged = abs(obj - prev) / max(prev, _TINY) <= cfg.epsilon
+        if converged:
             break
 
-    if model is not None:
-        state.forward_products, state.adjoint_products = model.forward, model.adjoint
-    if equations is not None:
+    if channel is not None:
+        state.forward_products, state.adjoint_products = channel.forward, channel.adjoint
         state.inner_capped, state.basis_columns = equations.capped, equations.kept
-    result_arr = (state.u if track_u else state.z) * scale
-    return SolveReport(
-        result=RfImage(data=result_arr, grid=grid),
-        converged=converged,
-        iterations=state.iter,
-        wall_time=time.perf_counter() - t_start,
-        config=cfg,
-        state=state,
-        scale=scale,
-    )
+    return converged, it
 
 
-def _solve_sequential(cfg, model, y_ch, psf, y_das, x0, t_start):
+def _solve_sequential(cfg, model, y_ch, psf, x0, t_start):
     """Channel-data stage to convergence, then blur stage on its output."""
-    if model is None or y_ch is None:
-        raise ValueError("sequential mode needs a system matrix and channel data")
-    if psf is None:
-        raise ValueError("sequential mode needs a PSF for its second stage")
     stage1 = replace(cfg, stage2=None, **mode_fields("beamform_only", vars(cfg)))
     report1 = solve(stage1, model=model, y_ch=y_ch, x0=x0)
     stage2 = cfg.stage2 or cfg

@@ -578,6 +578,22 @@ class TestChannelGeometryMismatch:
         assert "in tx PlaneWaveTx(angle=0.3) vs PlaneWaveTx(angle=-0.3)" in err
 
 
+class TestNonFiniteChannelData:
+    @pytest.mark.parametrize("command", [["solve", "--mode", "beamform"], ["das"]])
+    def test_one_nan_sample_exits_4_at_read(self, tmp_path, capsys, command):
+        ch_path = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", "builtin:desk_point", "--out", str(ch_path)]) == 0
+        ch = read_container(str(ch_path), "channel")
+        ch.samples[10, 5] = np.nan
+        write_container(ch, str(ch_path))
+        capsys.readouterr()
+        assert main(command + [
+            "--config", "builtin:desk_point", "--channel", str(ch_path),
+            "--out", str(tmp_path / "o.usjd"),
+        ]) == 4
+        assert "non-finite samples" in capsys.readouterr().err
+
+
 class TestRunReconstructionBuildsMatrixOnDemand:
     @staticmethod
     def _counted_builds(monkeypatch):

@@ -387,6 +387,77 @@ class TestSolve:
                 psf=None,
             )
 
+    # the observations each mode reads: channel (matrix and channel data),
+    # psf and das (the reference image)
+    MODE_READS = {
+        "joint": {"channel", "psf", "das"},
+        "beamform_only": {"channel"},
+        "deconv_only": {"psf", "das"},
+        "sequential": {"channel", "psf"},
+    }
+
+    @pytest.mark.parametrize(
+        "omitted, read",
+        [("model", "channel"), ("y_ch", "channel"), ("psf", "psf"), ("y_das", "das")],
+        ids=["matrix", "channel", "psf", "das"],
+    )
+    @pytest.mark.parametrize("mode", list(MODE_READS))
+    def test_mode_rule_names_each_missing_input(
+        self, covered_instance, rng, mode, omitted, read
+    ):
+        from pwrecon.solver import mode_fields, observations_needed
+
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        cfg = SolverConfig(max_iter=2, **mode_fields(mode, {}))
+        needs = observations_needed(cfg)
+        assert {name for name, on in needs.items() if on} == self.MODE_READS[mode]
+        inputs = dict(
+            model=model, y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
+            psf=make_psf(rng), y_das=RfImage(rng.standard_normal(grid.shape), grid),
+        )
+        inputs[omitted] = None
+        # solve refuses exactly the inputs the rule names
+        if needs[read]:
+            with pytest.raises(ValueError, match="^mode %r needs " % mode):
+                solve(cfg, **inputs)
+        else:
+            assert np.all(np.isfinite(solve(cfg, **inputs).result.data))
+
+    def test_sequential_without_psf_is_refused_before_any_product(
+        self, covered_instance, rng, monkeypatch
+    ):
+        from pwrecon.forward_model import SparseSystemMatrix
+
+        calls = {"apply": 0, "apply_adjoint": 0}
+        for name in calls:
+            product = getattr(SparseSystemMatrix, name)
+
+            def counted(self, v, _name=name, _product=product):
+                calls[_name] += 1
+                return _product(self, v)
+
+            monkeypatch.setattr(SparseSystemMatrix, name, counted)
+        model = covered_instance["model"]
+        y_ch = channel_data(model, rng.standard_normal(model.num_rows))
+        with pytest.raises(ValueError, match="needs a PSF"):
+            solve(SolverConfig(mode="sequential"), model=model, y_ch=y_ch)
+        assert calls == {"apply": 0, "apply_adjoint": 0}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0_is_refused_by_name(self, covered_instance, rng, bad):
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        x0 = rng.standard_normal(grid.shape)
+        x0[3, 4] = bad
+        with pytest.raises(ValueError, match="^x0 "):
+            solve(
+                SolverConfig(), model=model,
+                y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
+                psf=make_psf(rng), y_das=RfImage(rng.standard_normal(grid.shape), grid),
+                x0=x0,
+            )
+
     def test_divergence_guard_raises_with_history(
         self, covered_instance, rng, monkeypatch
     ):
