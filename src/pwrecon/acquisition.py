@@ -18,6 +18,7 @@ __all__ = [
     "ChannelData",
     "PointTarget",
     "CystRegion",
+    "TARGET_KINDS",
     "Phantom",
     "make_point_phantom",
     "make_cyst_phantom",
@@ -56,13 +57,13 @@ class ProbeGeometry:
     t0_offset: float = 0.0
 
     def __post_init__(self):
-        if self.num_elements < 2:
+        if not self.num_elements >= 2:
             raise ValueError("num_elements must be at least 2")
-        if self.pitch <= 0:
+        if not self.pitch > 0:
             raise ValueError("pitch must be positive")
-        if self.sound_speed <= 0:
+        if not self.sound_speed > 0:
             raise ValueError("sound_speed must be positive")
-        if self.sampling_freq <= 2.0 * self.center_freq:
+        if not self.sampling_freq > 2.0 * self.center_freq:
             raise ValueError("sampling_freq must exceed twice center_freq")
 
     @property
@@ -100,9 +101,9 @@ class ImagingGrid:
     z_origin: float
 
     def __post_init__(self):
-        if self.nz < 1 or self.nx < 1:
+        if not (self.nz >= 1 and self.nx >= 1):
             raise ValueError("grid must have at least one pixel per axis")
-        if self.dz <= 0 or self.dx <= 0:
+        if not (self.dz > 0 and self.dx > 0):
             raise ValueError("pixel spacing must be positive")
 
     @classmethod
@@ -188,6 +189,10 @@ class CystRegion:
     radius: float
 
 
+# metrics kind -> its annotation class, also the annotation tag in containers
+TARGET_KINDS = {"point": PointTarget, "cyst": CystRegion}
+
+
 @dataclass
 class Phantom:
     """Ground-truth tissue reflectivity on a grid plus metric annotations."""
@@ -238,7 +243,7 @@ def make_cyst_phantom(grid, center, radius, seed):
     Deterministic for a given seed. The cyst center must lie inside the
     grid; a radius covering the whole grid degenerates to an all-zero map.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("cyst radius must be positive")
     cz, cx = center
     z = grid.z_positions

@@ -50,8 +50,8 @@ class BModeImage:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.dynamic_range <= 0:
-            raise ValueError("dynamic_range must be positive")
+        if not 0 < self.dynamic_range < np.inf:
+            raise ValueError("dynamic_range must be positive and finite")
         if self.data.shape != self.grid.shape:
             raise ValueError("image shape does not match grid")
         if self.data.size and (
@@ -115,8 +115,8 @@ def log_compress(env, dynamic_range=60.0):
     Values are clamped to [-dynamic_range, 0]; an all-zero envelope maps to
     a uniform floor.
     """
-    if dynamic_range <= 0:
-        raise ValueError("dynamic_range must be positive")
+    if not 0 < dynamic_range < np.inf:
+        raise ValueError("dynamic_range must be positive and finite")
     data = env.data
     if data.size and data.min() < 0:
         raise ValueError("envelope must be nonnegative")

@@ -22,6 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
+from .acquisition import TARGET_KINDS
 from .beamform import compound, das_beamform, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
@@ -77,7 +78,7 @@ def _build_parser():
     p.add_argument("--image", required=True, help="RF image container to score")
     p.add_argument("--phantom", help="phantom container with annotations")
     p.add_argument("--reference", help="reference RF image (histogram matching)")
-    p.add_argument("--kind", choices=("point", "cyst"))
+    p.add_argument("--kind", choices=tuple(TARGET_KINDS))
     p.add_argument("--roi", help="explicit ROI disc 'z,x,r' in meters")
     p.add_argument("--background", help="explicit background disc 'z,x,r' in meters")
     p.add_argument("--out", help="write the report JSON here")

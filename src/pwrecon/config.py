@@ -1,7 +1,7 @@
 """Run configuration, hyperparameter presets, and bundled desk-scale setups.
 
 A run config is a single JSON document describing probe, grid, transmit,
-apodization, phantom, PSF choice, solver settings, and metric regions. It
+apodization, phantom, PSF choice, solver settings, and metrics kind. It
 is validated at load time; unknown or ill-typed keys fail with the
 offending key named.
 """
@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
+from .acquisition import TARGET_KINDS, ImagingGrid, PlaneWaveTx, ProbeGeometry
 from .forward_model import ApodizationSpec, suggest_time_window
 from .solver import InnerSettings, SolverConfig, mode_fields
 
@@ -129,17 +129,16 @@ def _one_of(*choices):
 # by the (keys, required keys) of the type they name, so a key of another
 # type is an unknown key.
 _GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
-_SHAPE_KEYS = dict.fromkeys(("f0", "fs", "axial_fbw", "lateral_sigma"), "float")
+_SHAPE_KEYS = dict(lateral_sigma="float")
 _PSF_TYPES = {"model": ({}, ()), "parametric": (_SHAPE_KEYS, ())}
-_METRICS_KEYS = dict(kind=_one_of("point", "cyst"), roi_ratio="float",
-                     background_inner_ratio="float")
+_METRICS_KEYS = dict(kind=_one_of(*TARGET_KINDS))
 _PHANTOM_KEYS = {
     "snr_db": "float | None",
     "seed": "int",
     "blur": lambda b, p: None if b is None else _read(b, _SHAPE_KEYS, p),
 }
 _PHANTOM_TYPES = {
-    "point": (dict(_PHANTOM_KEYS, points=_points, amplitude="float"), ("points",)),
+    "point": (dict(_PHANTOM_KEYS, points=_points), ("points",)),
     "cyst": (dict(_PHANTOM_KEYS, center=_position, radius="float"), ("center", "radius")),
 }
 
@@ -284,7 +283,7 @@ _DESK_COMMON = {
     "grid": {"nz": 96, "nx": 64, "z_origin": 7.0e-3},
     "tx_angles": [0.0],
     "apodization": {"window": "hanning", "f_number": 0.5},
-    "psf": {"type": "parametric", "axial_fbw": 0.67, "lateral_sigma": 1.5},
+    "psf": {"type": "parametric", "lateral_sigma": 1.5},
     "dynamic_range": 60.0,
 }
 
@@ -300,10 +299,9 @@ _BUILTIN_CONFIGS = {
                 [9.0e-3, 3.0e-3],
                 [9.5e-3, 6.0e-3],
             ],
-            "amplitude": 1.0,
             "snr_db": 0.0,
             "seed": 0,
-            "blur": {"axial_fbw": 0.67, "lateral_sigma": 0.5},
+            "blur": {"lateral_sigma": 0.5},
         },
         "solver": {
             "mode": "joint",
@@ -322,7 +320,7 @@ _BUILTIN_CONFIGS = {
             "radius": 1.4e-3,
             "snr_db": 10.0,
             "seed": 7,
-            "blur": {"axial_fbw": 0.67, "lateral_sigma": 0.5},
+            "blur": {"lateral_sigma": 0.5},
         },
         "solver": {
             "mode": "joint",
@@ -331,11 +329,7 @@ _BUILTIN_CONFIGS = {
             "beta": 24.0,
             "mu": 0.3,
         },
-        "metrics": {
-            "kind": "cyst",
-            "roi_ratio": 0.7,
-            "background_inner_ratio": 1.2,
-        },
+        "metrics": {"kind": "cyst"},
     },
 }
 

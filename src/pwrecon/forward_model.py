@@ -45,25 +45,20 @@ WINDOWS = ("rectangular", "hanning", "tukey")
 class ApodizationSpec:
     """Receive apodization: window shape plus f-number aperture growth.
 
-    The active half-aperture at depth z is z / (2 f_number), optionally
-    clamped from below by ``min_half_aperture`` so very shallow pixels keep
-    at least one element in view.
+    The active half-aperture at depth z is z / (2 f_number).
     """
 
     window: str = "hanning"
     f_number: float = 0.5
     taper: float = 0.25  # tukey only: tapered fraction of the aperture
-    min_half_aperture: float = 0.0
 
     def __post_init__(self):
         if self.window not in WINDOWS:
             raise ValueError("window must be one of %s" % (WINDOWS,))
-        if self.f_number <= 0:
+        if not self.f_number > 0:
             raise ValueError("f_number must be positive")
         if not 0.0 <= self.taper <= 1.0:
             raise ValueError("tukey taper must lie in [0, 1]")
-        if self.min_half_aperture < 0:
-            raise ValueError("min_half_aperture must be nonnegative")
 
 
 def propagation_delay(pixel, element_x, tx, sound_speed):
@@ -102,7 +97,7 @@ def apodization_weight(pixel, element_x, spec):
     z, x = pixel
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    half = np.maximum(z / (2.0 * spec.f_number), spec.min_half_aperture)
+    half = z / (2.0 * spec.f_number)
     # a denormal aperture overflows the offset to inf, which is outside it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = np.abs(x - element_x) / half

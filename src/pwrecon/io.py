@@ -28,12 +28,11 @@ import scipy.sparse as sp
 
 from . import forward_model
 from .acquisition import (
+    TARGET_KINDS,
     ChannelData,
-    CystRegion,
     ImagingGrid,
     Phantom,
     PlaneWaveTx,
-    PointTarget,
     ProbeGeometry,
 )
 from .beamform import RfImage
@@ -55,16 +54,14 @@ __all__ = [
 CONTAINER_MAGIC = b"USJD"
 CONTAINER_VERSION = 1
 
-_ANNOTATION_TYPES = {"point": PointTarget, "cyst": CystRegion}
-
 # float kind -> (class, payload attribute, {metadata attribute: rebuilder});
-# a rebuilder is a dataclass stored as a dict, None for a value stored as
-# is, or a tag -> dataclass table for a list of tagged dataclasses
+# a rebuilder is a dataclass stored as a dict or a tag -> dataclass table for
+# a list of tagged dataclasses. A reader ignores metadata its kind does not list.
 _KINDS = {
     "channel": (ChannelData, "samples", {"probe": ProbeGeometry, "tx": PlaneWaveTx}),
     "rfimage": (RfImage, "data", {"grid": ImagingGrid}),
-    "psf": (Psf, "kernel", {"dz": None, "dx": None}),
-    "phantom": (Phantom, "trf", {"grid": ImagingGrid, "annotations": _ANNOTATION_TYPES}),
+    "psf": (Psf, "kernel", {}),
+    "phantom": (Phantom, "trf", {"grid": ImagingGrid, "annotations": TARGET_KINDS}),
 }
 
 # kind -> dtypes of its payload arrays, in file order
@@ -95,8 +92,6 @@ class StructureError(ContainerError):
 
 
 def _to_meta(value, rebuild):
-    if rebuild is None:
-        return value
     if isinstance(rebuild, dict):  # list of tagged dataclasses
         tags = {cls: tag for tag, cls in rebuild.items()}
         return [{"type": tags[type(v)], **asdict(v)} for v in value]
@@ -104,8 +99,6 @@ def _to_meta(value, rebuild):
 
 
 def _from_meta(value, rebuild):
-    if rebuild is None:
-        return value
     if isinstance(rebuild, dict):  # list of tagged dataclasses
         return [_from_meta(d, rebuild[d.pop("type")]) for d in map(dict, value)]
     return rebuild(**value)

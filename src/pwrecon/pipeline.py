@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .acquisition import (
-    CystRegion,
+    TARGET_KINDS,
     Phantom,
     PointTarget,
     make_cyst_phantom,
@@ -38,6 +38,13 @@ __all__ = [
     "measure",
 ]
 
+# -6 dB fractional bandwidth of the parametric pulse's axial profile
+_AXIAL_FBW = 0.67
+# a cyst's ROI disc and the inner radius of its equal-area background ring,
+# in cyst radii
+_ROI_RATIO = 0.7
+_BACKGROUND_INNER_RATIO = 1.2
+
 
 def build_model(cfg):
     """System matrix of a run config's transmit (disk-cached)."""
@@ -55,14 +62,14 @@ def _half_width_within(half, n):
     return max(min(half, center - 1, n - center - 2), 0)
 
 
-def _parametric_psf(cfg, spec, lateral_sigma):
-    """Parametric kernel from a config block, unset keys from the probe,
-    cropped about its center to fit the grid."""
+def _parametric_psf(cfg, lateral_sigma):
+    """Parametric kernel of the probe's pulse, cropped about its center to
+    fit the grid."""
     kernel = make_parametric_psf(
-        f0=spec.get("f0", cfg.probe.center_freq),
-        fs=spec.get("fs", cfg.probe.sampling_freq),
-        axial_fbw=spec.get("axial_fbw", 0.67),
-        lateral_sigma=spec.get("lateral_sigma", lateral_sigma),
+        f0=cfg.probe.center_freq,
+        fs=cfg.probe.sampling_freq,
+        axial_fbw=_AXIAL_FBW,
+        lateral_sigma=lateral_sigma,
     ).kernel
     az, ax = (d // 2 for d in kernel.shape)
     hz = _half_width_within(az, cfg.grid.nz)
@@ -81,7 +88,7 @@ def _blur_kernel(cfg):
     spec = (cfg.phantom or {}).get("blur")
     if not spec:
         return None
-    return _parametric_psf(cfg, spec, lateral_sigma=0.5)
+    return _parametric_psf(cfg, spec.get("lateral_sigma", 0.5))
 
 
 def make_phantom(cfg):
@@ -91,11 +98,7 @@ def make_phantom(cfg):
         raise ConfigError("run config declares no phantom")
     kind = spec.get("type")
     if kind == "point":
-        phantom = make_point_phantom(
-            cfg.grid,
-            [tuple(p) for p in spec["points"]],
-            amplitude=spec.get("amplitude", 1.0),
-        )
+        phantom = make_point_phantom(cfg.grid, [tuple(p) for p in spec["points"]])
     elif kind == "cyst":
         phantom = make_cyst_phantom(
             cfg.grid,
@@ -160,7 +163,7 @@ def psf_from_model(model, pre_blur=None):
     half_x = _half_width_within(min(max(half_x, 1), 16), grid.nx)
     kernel = img[ciz - half_z : ciz + half_z + 1, cix - half_x : cix + half_x + 1]
     kernel = kernel / img[ciz, cix]
-    return Psf(kernel=kernel, dz=grid.dz, dx=grid.dx)
+    return Psf(kernel=kernel)
 
 
 def resolve_psf(cfg, model=None):
@@ -173,7 +176,7 @@ def resolve_psf(cfg, model=None):
             raise ConfigError("psf type 'model' needs a system matrix")
         return psf_from_model(model, pre_blur=_blur_kernel(cfg))
     if kind == "parametric":
-        return _parametric_psf(cfg, spec, lateral_sigma=1.0)
+        return _parametric_psf(cfg, spec.get("lateral_sigma", 1.0))
     raise ConfigError("unknown psf type %r" % kind)
 
 
@@ -204,9 +207,6 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das, x0=x0)
 
 
-_TARGET_TYPES = {"point": PointTarget, "cyst": CystRegion}
-
-
 def measure(cfg, phantom, image, reference=None):
     """MetricsReport for a reconstructed image.
 
@@ -218,9 +218,9 @@ def measure(cfg, phantom, image, reference=None):
     """
     has_points = any(isinstance(a, PointTarget) for a in phantom.annotations)
     kind = cfg.metrics.get("kind") or ("point" if has_points else "cyst")
-    if kind not in _TARGET_TYPES:
+    if kind not in TARGET_KINDS:
         raise ConfigError("unknown metrics kind %r" % kind)
-    targets = [a for a in phantom.annotations if isinstance(a, _TARGET_TYPES[kind])]
+    targets = [a for a in phantom.annotations if isinstance(a, TARGET_KINDS[kind])]
     if not targets:
         raise ConfigError("metrics kind %r: the phantom has no %s target" % (kind, kind))
     if kind == "point":
@@ -232,13 +232,11 @@ def measure(cfg, phantom, image, reference=None):
                 fwhm(env, (target.iz, target.ix), "lateral")
             )
         return report
-    roi_ratio = cfg.metrics.get("roi_ratio", 0.7)
-    inner_ratio = cfg.metrics.get("background_inner_ratio", 1.2)
     regions = []
     for cyst in targets:
         center = (cyst.z, cyst.x)
-        roi_r = roi_ratio * cyst.radius
-        bg_inner = inner_ratio * cyst.radius
+        roi_r = _ROI_RATIO * cyst.radius
+        bg_inner = _BACKGROUND_INNER_RATIO * cyst.radius
         bg_outer = float(np.sqrt(bg_inner**2 + roi_r**2))  # equal-area ring
         regions.append((
             disc_mask(cfg.grid, center, roi_r),

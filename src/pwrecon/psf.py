@@ -20,8 +20,6 @@ class Psf:
     """Convolution kernel with odd dimensions and its peak at the center."""
 
     kernel: np.ndarray  # (2a+1, 2b+1)
-    dz: float | None = None  # grid spacing metadata, meters
-    dx: float | None = None
     _tf_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,7 +72,7 @@ def make_parametric_psf(f0, fs, axial_fbw, lateral_sigma):
         raise ValueError("need 0 < f0 < fs/2")
     if not 0 < axial_fbw <= 2:
         raise ValueError("axial fractional bandwidth must lie in (0, 2]")
-    if lateral_sigma <= 0:
+    if not lateral_sigma > 0:
         raise ValueError("lateral_sigma must be positive")
     sigma_t = np.sqrt(2.0 * np.log(2.0)) / (np.pi * axial_fbw * f0)
     half_ax = max(int(np.floor(3.0 * sigma_t * fs)), 1)

@@ -117,9 +117,9 @@ class InnerSettings:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("inner max_iter must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("inner tol must be positive")
 
 
@@ -148,19 +148,19 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.gamma_d < 0 or self.gamma_b < 0 or self.mu < 0:
+        if not (self.gamma_d >= 0 and self.gamma_b >= 0 and self.mu >= 0):
             raise ValueError("gamma_d, gamma_b, mu must be nonnegative")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
         if self.mode == "beamform_only" and self.gamma_d != 0.0:
             raise ValueError("beamform_only requires gamma_d = 0")
         if self.mode == "deconv_only" and self.gamma_b != 0.0:
             raise ValueError("deconv_only requires gamma_b = 0")
-        if self.gamma_d + self.gamma_b <= 0:
+        if not self.gamma_d + self.gamma_b > 0:
             raise ValueError("at least one data term must have positive weight")
 
 

@@ -407,9 +407,9 @@ class TestCriterion10Determinism:
                 "points": [[3.5e-3, 0.0]],
                 "snr_db": 10.0,
                 "seed": 5,
-                "blur": {"axial_fbw": 0.67, "lateral_sigma": 0.5},
+                "blur": {"lateral_sigma": 0.5},
             },
-            "psf": {"type": "parametric", "axial_fbw": 0.67, "lateral_sigma": 1.0},
+            "psf": {"type": "parametric", "lateral_sigma": 1.0},
             "solver": {
                 "mode": "joint",
                 "gamma_d": 1.0,

@@ -39,12 +39,11 @@ def small_config(tmp_path):
         "phantom": {
             "type": "point",
             "points": [[3.5e-3, 0.0], [4.0e-3, 1.0e-3]],
-            "amplitude": 1.0,
             "snr_db": None,
             "seed": 0,
-            "blur": {"axial_fbw": 0.67, "lateral_sigma": 0.5},
+            "blur": {"lateral_sigma": 0.5},
         },
-        "psf": {"type": "parametric", "axial_fbw": 0.67, "lateral_sigma": 1.0},
+        "psf": {"type": "parametric", "lateral_sigma": 1.0},
         "solver": {
             "mode": "joint",
             "gamma_d": 1.0,
@@ -243,6 +242,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "rfimage" in err and "grid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dynamic_range", ["nan", "inf", "-1"])
+    def test_export_png_refuses_a_bad_dynamic_range(self, tmp_path, capsys, dynamic_range):
+        path, png = tmp_path / "img.usjd", tmp_path / "o.png"
+        self._rfimage(path)
+        code = main([
+            "export-png", "--input", str(path), "--out", str(png),
+            "--dynamic-range", dynamic_range,
+        ])
+        assert code == 4 and not png.exists()
+        assert "dynamic_range" in capsys.readouterr().err
+
     def test_bad_container_exit_code(self, small_config, tmp_path):
         bad = tmp_path / "bad.usjd"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -381,27 +391,21 @@ class TestDiscRadiusMustBeValid:
     def cyst_files(self, small_config, tmp_path):
         def edit(doc):
             doc["phantom"] = {"type": "cyst", "center": [3.6e-3, 0.0], "radius": 0.4e-3}
-            doc["metrics"] = {"kind": "cyst", "roi_ratio": -0.7}
+            doc["metrics"] = {"kind": "cyst"}
 
         config = _write_config(small_config, tmp_path, edit)
-        ch, ph, rf = (str(tmp_path / n) for n in ("ch.usjd", "ph.usjd", "rf.usjd"))
-        assert main(["simulate", "--config", config, "--out", ch, "--phantom-out", ph]) == 0
+        ch, rf = str(tmp_path / "ch.usjd"), str(tmp_path / "rf.usjd")
+        assert main(["simulate", "--config", config, "--out", ch]) == 0
         assert main(["das", "--config", config, "--channel", ch, "--out", rf]) == 0
-        return ["metrics", "--config", config, "--image", rf], ph
+        return ["metrics", "--config", config, "--image", rf]
 
     @pytest.mark.parametrize("radius", ["-0.0003", "inf"])
     def test_roi_radius_exits_4(self, cyst_files, capsys, radius):
-        metrics, _ = cyst_files
+        metrics = cyst_files
         background = ["--background", "0.0036,0.0,0.0006"]
         assert main([*metrics, "--roi", "0.0036,0.0,0.0003", *background]) == 0
         capsys.readouterr()
         assert main([*metrics, "--roi", "0.0036,0.0,%s" % radius, *background]) == 4
-        err = capsys.readouterr().err
-        assert "disc radius" in err and "Traceback" not in err
-
-    def test_negative_roi_ratio_exits_4(self, cyst_files, capsys):
-        metrics, ph = cyst_files
-        assert main([*metrics, "--phantom", ph]) == 4
         err = capsys.readouterr().err
         assert "disc radius" in err and "Traceback" not in err
 

@@ -2,12 +2,23 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwrecon import InnerSettings, RunConfig, SolverConfig
+from pwrecon import (
+    ApodizationSpec,
+    ImagingGrid,
+    InnerSettings,
+    ProbeGeometry,
+    RunConfig,
+    SolverConfig,
+    make_cyst_phantom,
+    make_parametric_psf,
+)
 from pwrecon.cli import main
 from pwrecon.config import (
     DESK_SEQUENTIAL,
@@ -16,6 +27,11 @@ from pwrecon.config import (
     run_config_from_dict,
     solver_config,
 )
+
+
+_PROBE = dict(num_elements=16, pitch=3e-4, sound_speed=1540.0,
+              sampling_freq=20.832e6, center_freq=5.208e6)
+_GRID = dict(nz=4, nx=3, dz=1e-4, dx=3e-4, z_origin=0.0)
 
 
 def _cyst(center):
@@ -54,12 +70,16 @@ NON_FINITE = {
     "epsilon_nan": (lambda d: d["solver"].update(epsilon=math.nan), "epsilon"),
     "inner_tol_nan": (lambda d: d["solver"].update(inner={"tol": math.nan}), "tol"),
     "snr_db_nan": (lambda d: d["phantom"].update(snr_db=math.nan), "snr_db"),
-    "amplitude_nan": (lambda d: d["phantom"].update(amplitude=math.nan), "amplitude"),
+    "radius_nan": (
+        lambda d: d.update(phantom={**_cyst([8.2e-3, 0.0]), "radius": math.nan}), "radius"
+    ),
     "point_nan": (lambda d: d["phantom"].update(points=[[math.nan, 0.0]]), "points"),
     "angle_minus_infinity": (lambda d: d.update(tx_angles=[-math.inf]), "tx_angles"),
     "pitch_infinity": (lambda d: d["probe"].update(pitch=math.inf), "pitch"),
     "dynamic_range_nan": (lambda d: d.update(dynamic_range=math.nan), "dynamic_range"),
-    "roi_ratio_nan": (lambda d: d["metrics"].update(roi_ratio=math.nan), "roi_ratio"),
+    "blur_sigma_nan": (
+        lambda d: d["phantom"]["blur"].update(lateral_sigma=math.nan), "lateral_sigma"
+    ),
     "integer_past_float_range": (lambda d: d["solver"].update(mu=10**400), "mu"),
 }
 
@@ -81,19 +101,48 @@ IGNORED = {
         lambda d: d.update(phantom={**_cyst([8.2e-3, 0.0]), "points": [[8e-3, 0.0]]}),
         "points",
     ),
-    "amplitude_on_a_cyst": (
-        lambda d: d.update(phantom={**_cyst([8.2e-3, 0.0]), "amplitude": 2.0}),
-        "amplitude",
-    ),
+    "radius_on_a_point": (lambda d: d["phantom"].update(radius=1.4e-3), "radius"),
     "shape_on_a_model_psf": (
-        lambda d: d.update(psf={"type": "model", "axial_fbw": 0.67}), "axial_fbw"
+        lambda d: d.update(psf={"type": "model", "lateral_sigma": 1.0}), "lateral_sigma"
     ),
     "stage2_in_joint": (
         lambda d: d["solver"].update(stage2={"mode": "deconv_only"}), "stage2"
     ),
     "stage2_in_stage2": (_stage2_in_stage2, "stage2"),
 }
-EVERY_BAD_DOC = {**BAD_DOCS, **NON_FINITE, **IGNORED}
+
+# Values the reader no longer knows, each at its former default: the probe
+# fixes the pulse's frequencies, and no config varied the others.
+REMOVED = {
+    "phantom.amplitude": 1.0,
+    "phantom.blur.f0": 5.208e6,
+    "phantom.blur.fs": 20.832e6,
+    "phantom.blur.axial_fbw": 0.67,
+    "psf.f0": 5.208e6,
+    "psf.fs": 20.832e6,
+    "psf.axial_fbw": 0.67,
+    "metrics.roi_ratio": 0.7,
+    "metrics.background_inner_ratio": 1.2,
+    "apodization.min_half_aperture": 0.0,
+}
+
+
+def _setting(path, value):
+    """(edit that sets the key at ``path`` of the document to ``value``, key)."""
+    *blocks, key = path.split(".")
+
+    def edit(doc):
+        for block in blocks:
+            doc = doc[block]
+        doc[key] = value
+
+    return edit, key
+
+
+EVERY_BAD_DOC = {
+    **BAD_DOCS, **NON_FINITE, **IGNORED,
+    **{path: _setting(path, value) for path, value in REMOVED.items()},
+}
 
 
 @pytest.mark.parametrize("case", sorted(EVERY_BAD_DOC))
@@ -116,6 +165,56 @@ def test_bad_config_exits_4_through_the_cli(case, tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", sorted(REMOVED))
+def test_removed_value_is_an_unknown_key(path):
+    doc = get_builtin_config("desk_point")
+    edit, key = _setting(path, REMOVED[path])
+    edit(doc)
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(doc)
+    assert str(err.value) == "unknown key %r in %s" % (key, path.rpartition(".")[0])
+
+
+def test_readme_schema_block_is_read():
+    """README's jsonc schema block, its // comments stripped, is a config the
+    reader accepts, so a key the reader drops cannot linger there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    run_config_from_dict(json.loads(re.sub(r"//.*", "", block)))
+
+
+# (constructor or factory, valid keyword arguments, the argument set to NaN):
+# every guard is written so that NaN fails it
+NAN_GUARDS = [
+    (InnerSettings, {}, field) for field in ("max_iter", "tol")
+] + [
+    (SolverConfig, {}, field)
+    for field in ("beta", "gamma_d", "gamma_b", "mu", "epsilon", "max_iter")
+] + [
+    (ProbeGeometry, _PROBE, field)
+    for field in ("num_elements", "pitch", "sound_speed", "sampling_freq", "center_freq")
+] + [
+    (ImagingGrid, _GRID, field) for field in ("nz", "nx", "dz", "dx")
+] + [
+    (ApodizationSpec, {}, field) for field in ("f_number", "taper")
+] + [
+    (make_cyst_phantom, dict(grid=ImagingGrid(**_GRID), center=(1e-4, 0.0), radius=1e-4,
+                             seed=0), "radius"),
+    (make_parametric_psf, dict(f0=5.208e6, fs=20.832e6, axial_fbw=0.67, lateral_sigma=1.0),
+     "lateral_sigma"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, valid, field", NAN_GUARDS,
+    ids=["%s.%s" % (b.__name__, f) for b, _, f in NAN_GUARDS],
+)
+def test_nan_fails_every_guard(build, valid, field):
+    build(**valid)
+    with pytest.raises(ValueError):
+        build(**{**valid, field: math.nan})
 
 
 @pytest.mark.parametrize("angles", [[0.0, -0.3, 0.3], []])

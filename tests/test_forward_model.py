@@ -63,7 +63,7 @@ def dense_oracle(probe, grid, tx, num_samples, apod):
                     raw = 1.0
                 else:
                     raw = 1.0 - dt / t_max
-                half = max(z / (2.0 * apod.f_number), apod.min_half_aperture)
+                half = z / (2.0 * apod.f_number)
                 # an aperture that underflows to zero width is degenerate too
                 if z <= 0 or half <= 0 or abs(x - xe) > half:
                     w = 0.0
@@ -478,7 +478,6 @@ _geometries = st.builds(
         window=st.sampled_from(WINDOWS),
         f_number=st.floats(0.25, 2.0),
         taper=st.floats(0.0, 1.0),
-        min_half_aperture=st.sampled_from([0.0, 3e-4]),
     ),
 )
 

@@ -20,6 +20,7 @@ from pwrecon import (
     PointTarget,
     Psf,
     RfImage,
+    cached_system_matrix,
     load_matrix,
     make_point_phantom,
     read_container,
@@ -63,10 +64,11 @@ class TestContainerRoundTrip:
         assert np.array_equal(back.samples.astype("<f4"), ch.samples.astype("<f4"))
 
     def test_psf_and_phantom(self, tiny_grid, rng, tmp_path):
-        psf = Psf(kernel=rng.standard_normal((5, 3)), dz=1e-4, dx=3e-4)
+        psf = Psf(kernel=rng.standard_normal((5, 3)))
         write_container(psf, tmp_path / "p.usjd")
         back = read_container(tmp_path / "p.usjd")
-        assert isinstance(back, Psf) and back.dz == 1e-4
+        assert isinstance(back, Psf)
+        assert np.array_equal(back.kernel, psf.kernel.astype("<f4"))
 
         ph = make_point_phantom(
             tiny_grid, [(tiny_grid.z_positions[4], tiny_grid.x_positions[4])]
@@ -85,6 +87,51 @@ class TestContainerRoundTrip:
         back = read_container(path)
         assert isinstance(back, SparseSystemMatrix)
         assert back.fingerprint == model.fingerprint
+
+
+def _edit_meta(path, edit):
+    """Rewrite a container's metadata JSON in place through ``edit(meta)``."""
+    blob = path.read_bytes()
+    at = 7 + blob[6]  # magic, version, kind length, kind
+    (meta_len,) = struct.unpack("<I", blob[at : at + 4])
+    meta = json.loads(blob[at + 4 : at + 4 + meta_len])
+    edit(meta)
+    text = json.dumps(meta, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        blob[:at] + struct.pack("<I", len(text)) + text + blob[at + 4 + meta_len :]
+    )
+
+
+class TestOlderContainers:
+    """Containers written while Psf carried grid spacings and ApodizationSpec
+    a minimum half-aperture."""
+
+    def test_psf_with_spacings_loads(self, rng, tmp_path):
+        psf = Psf(kernel=rng.standard_normal((5, 3)))
+        path = tmp_path / "p.usjd"
+        write_container(psf, path)
+        _edit_meta(path, lambda meta: meta.update(dz=1e-4, dx=3e-4))
+        back = read_container(path, "psf")
+        assert np.array_equal(back.kernel, psf.kernel.astype("<f4"))
+
+    def test_matrix_with_min_half_aperture_is_refused(self, tiny_instance, tmp_path):
+        path = tmp_path / "m.usjd"
+        write_container(tiny_instance["model"], path)
+        _edit_meta(path, lambda meta: meta["apodization"].update(min_half_aperture=0.0))
+        with pytest.raises(StructureError, match="min_half_aperture"):
+            load_matrix(path)
+
+    def test_cache_entry_with_min_half_aperture_is_rebuilt(
+        self, tiny_instance, tmp_path, monkeypatch
+    ):
+        inst = tiny_instance
+        monkeypatch.setenv("PWRECON_CACHE_DIR", str(tmp_path))
+        args = (inst["probe"], inst["grid"], inst["tx"], inst["num_samples"], inst["apod"])
+        cached_system_matrix(*args)
+        (path,) = tmp_path.glob("sysmat_*.usjd")
+        _edit_meta(path, lambda meta: meta["apodization"].update(min_half_aperture=0.0))
+        assert cached_system_matrix(*args).nnz == inst["model"].nnz
+        assert load_matrix(path).fingerprint == inst["model"].fingerprint
 
 
 class TestContainerErrors:
@@ -160,7 +207,7 @@ def _sample(kind, seed, nz, nx, z_origin, instance):
     if kind == "rfimage":
         return RfImage(rng.standard_normal(grid.shape), grid)
     if kind == "psf":
-        return Psf(rng.standard_normal((2 * nz - 1, 2 * nx - 1)), dz=grid.dz, dx=None)
+        return Psf(rng.standard_normal((2 * nz - 1, 2 * nx - 1)))
     annotations = [
         PointTarget(iz=nz - 1, ix=0, z=z_origin, x=0.0, amplitude=1.5),
         CystRegion(z=z_origin, x=-1e-3, radius=2e-3),
@@ -230,7 +277,7 @@ def _pinned_meta(kind, obj):
     if kind == "rfimage":
         return {"dims": list(obj.data.shape), "grid": asdict(obj.grid)}
     if kind == "psf":
-        return {"dims": list(obj.kernel.shape), "dz": obj.dz, "dx": obj.dx}
+        return {"dims": list(obj.kernel.shape)}
     point, cyst = obj.annotations
     return {"dims": list(obj.trf.shape), "grid": asdict(obj.grid),
             "annotations": [{"type": "point", **asdict(point)},
