@@ -158,12 +158,6 @@ class ChannelData:
     def num_samples(self):
         return self.samples.shape[0]
 
-    @property
-    def sample_times(self):
-        """Acquisition time of each sample row, in seconds."""
-        m = np.arange(self.num_samples)
-        return m / self.probe.sampling_freq + self.probe.t0_offset
-
     def to_vector(self):
         """Column-major (element-major) flattening used by the system matrix."""
         return self.samples.reshape(-1, order="F")
@@ -189,7 +183,7 @@ class CystRegion:
     radius: float
 
 
-# metrics kind -> its annotation class, also the annotation tag in containers
+# target kind -> its annotation class, also the annotation tag in containers
 TARGET_KINDS = {"point": PointTarget, "cyst": CystRegion}
 
 

@@ -178,9 +178,7 @@ def _cmd_metrics(args):
         if not args.phantom:
             raise ConfigError("metrics needs --phantom or explicit --roi/--background")
         phantom = read_container(args.phantom, "phantom")
-        if args.kind:
-            cfg.metrics["kind"] = args.kind
-        report = pipeline.measure(cfg, phantom, image, reference=reference)
+        report = pipeline.measure(cfg, phantom, image, reference=reference, kind=args.kind)
     print(report.to_text())
     text = report.to_json()
     if args.out:

@@ -1,9 +1,8 @@
 """Run configuration, hyperparameter presets, and bundled desk-scale setups.
 
 A run config is a single JSON document describing probe, grid, transmit,
-apodization, phantom, PSF choice, solver settings, and metrics kind. It
-is validated at load time; unknown or ill-typed keys fail with the
-offending key named.
+apodization, phantom, PSF choice and solver settings. It is validated at
+load time; unknown or ill-typed keys fail with the offending key named.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .acquisition import TARGET_KINDS, ImagingGrid, PlaneWaveTx, ProbeGeometry
+from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
 from .forward_model import ApodizationSpec, suggest_time_window
 from .solver import InnerSettings, SolverConfig, mode_fields
 
@@ -78,7 +77,6 @@ class RunConfig:
     phantom: dict | None = None
     psf: dict = field(default_factory=lambda: {"type": "model"})
     solver: SolverConfig = field(default_factory=SolverConfig)
-    metrics: dict = field(default_factory=dict)
     dynamic_range: float = 60.0
 
     def __post_init__(self):
@@ -88,6 +86,8 @@ class RunConfig:
                 "config per angle and combine the images with `pwrecon compound`"
                 % len(self.tx_angles)
             )
+        if self.num_samples is None and self.probe.t0_offset:
+            raise ConfigError("key 't0_offset' in probe is read only with num_samples set")
 
     def tx(self):
         return PlaneWaveTx(angle=self.tx_angles[0])
@@ -131,7 +131,6 @@ def _one_of(*choices):
 _GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
 _SHAPE_KEYS = dict(lateral_sigma="float")
 _PSF_TYPES = {"model": ({}, ()), "parametric": (_SHAPE_KEYS, ())}
-_METRICS_KEYS = dict(kind=_one_of(*TARGET_KINDS))
 _PHANTOM_KEYS = {
     "snr_db": "float | None",
     "seed": "int",
@@ -208,10 +207,12 @@ def solver_config(block, path="solver", *, stage=False):
     blocks, plus ``preset``: a named experiment preset whose values the
     block's own keys override. Only a sequential block that is no ``stage2``
     block itself (``stage``) may hold ``stage2``, as only there a solve reads
-    it. ``mode_fields`` completes single-term modes.
+    it. A ``stage2`` block is read in ``deconv_only`` mode, the mode its stage
+    runs in, and holds no other. ``mode_fields`` completes single-term modes.
     """
+    mode = "deconv_only" if stage else "joint"
     if isinstance(block, dict) and "preset" in block:
-        block = {**_preset_block(block.get("mode", "joint"), block["preset"]), **block}
+        block = {**_preset_block(block.get("mode", mode), block["preset"]), **block}
     types = {f.name: f.type for f in fields(SolverConfig)}
     types.update(
         preset="str",
@@ -221,8 +222,10 @@ def solver_config(block, path="solver", *, stage=False):
     values = _read(block, types, path)
     if "stage2" in values and (stage or values.get("mode") != "sequential"):
         raise ConfigError("key 'stage2' in %s: only a top-level sequential block has one" % path)
+    if stage and values.setdefault("mode", mode) != mode:
+        raise ConfigError("key 'mode' in %s holds %r, not %r" % (path, values["mode"], mode))
     values.pop("preset", None)
-    values.update(mode_fields(values.get("mode", "joint"), values))
+    values.update(mode_fields(values.get("mode", mode), values))
     return _construct(SolverConfig, values, path)
 
 
@@ -248,7 +251,6 @@ def run_config_from_dict(doc):
         phantom=lambda b, p: None if b is None else _read_typed(b, p, _PHANTOM_TYPES),
         psf=lambda b, p: _read_typed(b, p, _PSF_TYPES),
         solver=solver_config,
-        metrics=lambda b, p: _read(b, _METRICS_KEYS, p),
     )
     values = _read(copy.deepcopy(doc), types, "", ["probe", "grid"])
     values["grid"] = _construct(
@@ -310,7 +312,6 @@ _BUILTIN_CONFIGS = {
             "beta": 12.0,
             "mu": 0.72,
         },
-        "metrics": {"kind": "point"},
     },
     "desk_cyst": {
         **_DESK_COMMON,
@@ -329,7 +330,6 @@ _BUILTIN_CONFIGS = {
             "beta": 24.0,
             "mu": 0.3,
         },
-        "metrics": {"kind": "cyst"},
     },
 }
 

@@ -180,7 +180,7 @@ def resolve_psf(cfg, model=None):
     raise ConfigError("unknown psf type %r" % kind)
 
 
-def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
+def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
     """Solve with the config's mode, deriving missing observations.
 
     ``solver.observations_needed`` names what the mode reads: ``ch`` for
@@ -204,20 +204,20 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None, x0=None):
         y_das = reference_das(model, ch)
     if needs_psf:
         psf = resolve_psf(cfg, model=model)
-    return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das, x0=x0)
+    return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)
 
 
-def measure(cfg, phantom, image, reference=None):
+def measure(cfg, phantom, image, reference=None, kind=None):
     """MetricsReport for a reconstructed image.
 
-    Point phantoms: axial/lateral FWHM per target on the envelope. Cyst
-    phantoms: CNR and gCNR per cyst on histogram-matched log-compressed
-    images, with the reference (normally the delay-and-sum result) defining
-    the target intensity distribution. A kind whose targets the phantom
-    does not hold is a ConfigError.
+    Point targets: axial/lateral FWHM per target on the envelope. Cysts:
+    CNR and gCNR per cyst on histogram-matched log-compressed images, with
+    the reference (normally the delay-and-sum result) defining the target
+    intensity distribution. ``kind`` None measures a phantom's point targets
+    if it has any, else its cysts; a kind it holds no target of is a ConfigError.
     """
     has_points = any(isinstance(a, PointTarget) for a in phantom.annotations)
-    kind = cfg.metrics.get("kind") or ("point" if has_points else "cyst")
+    kind = kind or ("point" if has_points else "cyst")
     if kind not in TARGET_KINDS:
         raise ConfigError("unknown metrics kind %r" % kind)
     targets = [a for a in phantom.annotations if isinstance(a, TARGET_KINDS[kind])]

@@ -334,11 +334,13 @@ class _NormalEquations:
         if self.history:
             z, az = (np.column_stack(cols) for cols in zip(*self.history))
             # least squares by SVD: the A z_j grow nearly collinear as ADMM
-            # converges. Singular values below eps / tol of the largest are
-            # dropped, or their large coefficients would carry rounding into
-            # the start residual above the inner tolerance, and every later
-            # start would inherit it from the stored pairs.
-            c = np.linalg.lstsq(az, b, rcond=np.finfo(float).eps / inner.tol)[0]
+            # converges. Singular values below 100 eps / tol of the largest
+            # are dropped, or their large coefficients would carry rounding
+            # into the start residual above the inner tolerance, and every
+            # later start would inherit it from the stored pairs. At eps / tol
+            # that rounding (eps times the condition) can reach the tolerance
+            # itself; the factor 100 holds it to a hundredth of it.
+            c = np.linalg.lstsq(az, b, rcond=100 * np.finfo(float).eps / inner.tol)[0]
             x, r = z @ c, b - az @ c
         else:
             x, r = np.zeros_like(b), b

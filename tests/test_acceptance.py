@@ -418,7 +418,6 @@ class TestCriterion10Determinism:
                 "mu": 0.3,
                 "max_iter": 25,
             },
-            "metrics": {"kind": "point"},
         }
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))

@@ -46,14 +46,6 @@ class TestGeometryTypes:
                 samples=np.zeros((4, 5)), tx=PlaneWaveTx(), probe=tiny_probe
             )
 
-    def test_sample_times_offset(self, tiny_probe):
-        from dataclasses import replace
-
-        probe = replace(tiny_probe, t0_offset=1e-6)
-        ch = ChannelData(samples=np.zeros((3, 8)), tx=PlaneWaveTx(), probe=probe)
-        expected = np.arange(3) / probe.sampling_freq + 1e-6
-        np.testing.assert_allclose(ch.sample_times, expected, rtol=1e-15)
-
 
 class TestPointPhantom:
     def test_empty_point_list(self, tiny_grid):

@@ -52,7 +52,6 @@ def small_config(tmp_path):
             "mu": 0.3,
             "max_iter": 40,
         },
-        "metrics": {"kind": "point"},
         "dynamic_range": 60.0,
     }
     path = tmp_path / "config.json"
@@ -391,7 +390,6 @@ class TestDiscRadiusMustBeValid:
     def cyst_files(self, small_config, tmp_path):
         def edit(doc):
             doc["phantom"] = {"type": "cyst", "center": [3.6e-3, 0.0], "radius": 0.4e-3}
-            doc["metrics"] = {"kind": "cyst"}
 
         config = _write_config(small_config, tmp_path, edit)
         ch, rf = str(tmp_path / "ch.usjd"), str(tmp_path / "rf.usjd")
@@ -561,6 +559,18 @@ class TestSequentialStages:
         assert stage2 == SolverConfig(
             mode="deconv_only", gamma_d=1.0, gamma_b=0.0, beta=12.0, mu=0.72
         )
+
+    def test_joint_flag_on_a_sequential_config_runs(self, small_config, tmp_path):
+        doc = json.loads(small_config.read_text())
+        doc["solver"] = {"mode": "sequential", "gamma_b": 0.25, "beta": 12.0,
+                         "max_iter": 10, "stage2": {"preset": "sr"}}
+        small_config.write_text(json.dumps(doc))
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
+        assert main([
+            "solve", "--config", str(small_config), "--channel", str(ch),
+            "--mode", "joint", "--out", str(tmp_path / "joint.usjd"),
+        ]) == 0
 
 
 class TestChannelGeometryMismatch:

@@ -22,6 +22,7 @@ from pwrecon import (
 from pwrecon.cli import main
 from pwrecon.config import (
     DESK_SEQUENTIAL,
+    PRESET_NAMES,
     ConfigError,
     get_builtin_config,
     run_config_from_dict,
@@ -60,6 +61,8 @@ BAD_DOCS = {
     "point_of_three": (lambda d: d["phantom"].update(points=[[8e-3, 0.0, 1]]), "points"),
     "center_of_strings": (lambda d: d.update(phantom=_cyst(["a", 0])), "center"),
     "center_of_one": (lambda d: d.update(phantom=_cyst([8.2e-3])), "center"),
+    # a null num_samples derives the window's start, so an offset would be lost
+    "t0_offset_without_num_samples": (lambda d: d["probe"].update(t0_offset=5e-6), "t0_offset"),
 }
 
 # Numbers json reads as NaN or Infinity: each would reach a solve, a
@@ -89,14 +92,21 @@ def _stage2_in_stage2(doc):
     doc["solver"] = {**DESK_SEQUENTIAL["desk_point"], "stage2": stage2}
 
 
+def _stage2_in_mode(mode):
+    def edit(doc):
+        doc["solver"] = {**DESK_SEQUENTIAL["desk_point"], "stage2": {"mode": mode}}
+
+    return edit, "mode"
+
+
 # Blocks the program would not read: an unknown type or kind, a key of
-# another type, a second stage outside a sequential block.
+# another type, a second stage outside a sequential block or in a mode its
+# stage does not run.
 IGNORED = {
     "phantom_type": (lambda d: d["phantom"].update(type="line"), "type"),
     "psf_type": (lambda d: d.update(psf={"type": "bogus"}), "type"),
     "psf_file": (lambda d: d.update(psf={"type": "file", "path": "k.usjd"}), "type"),
     "psf_path": (lambda d: d["psf"].update(path="k.usjd"), "path"),
-    "metrics_kind": (lambda d: d["metrics"].update(kind="line"), "kind"),
     "points_on_a_cyst": (
         lambda d: d.update(phantom={**_cyst([8.2e-3, 0.0]), "points": [[8e-3, 0.0]]}),
         "points",
@@ -109,11 +119,16 @@ IGNORED = {
         lambda d: d["solver"].update(stage2={"mode": "deconv_only"}), "stage2"
     ),
     "stage2_in_stage2": (_stage2_in_stage2, "stage2"),
+    "stage2_beamform_only": _stage2_in_mode("beamform_only"),
+    "stage2_joint": _stage2_in_mode("joint"),
 }
 
-# Values the reader no longer knows, each at its former default: the probe
-# fixes the pulse's frequencies, and no config varied the others.
+# Values the reader no longer knows, each at its former default (the
+# metrics block at desk_point's): the probe fixes the pulse's frequencies,
+# the phantom the kind of metrics, and no config varied the others. A key of
+# the deleted metrics block is refused as the block.
 REMOVED = {
+    "metrics": {"kind": "point"},
     "phantom.amplitude": 1.0,
     "phantom.blur.f0": 5.208e6,
     "phantom.blur.fs": 20.832e6,
@@ -128,14 +143,20 @@ REMOVED = {
 
 
 def _setting(path, value):
-    """(edit that sets the key at ``path`` of the document to ``value``, key)."""
+    """(edit that sets the key at ``path`` of the document to ``value``, the
+    key the reader refuses: the first on the path that desk_point lacks)."""
     *blocks, key = path.split(".")
 
     def edit(doc):
         for block in blocks:
-            doc = doc[block]
+            doc = doc.setdefault(block, {})
         doc[key] = value
 
+    doc = get_builtin_config("desk_point")
+    for block in blocks:
+        if block not in doc:
+            return edit, block
+        doc = doc[block]
     return edit, key
 
 
@@ -174,7 +195,17 @@ def test_removed_value_is_an_unknown_key(path):
     edit(doc)
     with pytest.raises(ConfigError) as err:
         run_config_from_dict(doc)
-    assert str(err.value) == "unknown key %r in %s" % (key, path.rpartition(".")[0])
+    parts = path.split(".")
+    where = ".".join(parts[: parts.index(key)]) or "run config"
+    assert str(err.value) == "unknown key %r in %s" % (key, where)
+
+
+def test_t0_offset_is_read_with_num_samples():
+    doc = get_builtin_config("desk_point")
+    doc["probe"]["t0_offset"] = 5e-6
+    doc["num_samples"] = 400
+    probe, num_samples = run_config_from_dict(doc).resolve_time_window()
+    assert (probe.t0_offset, num_samples) == (5e-6, 400)
 
 
 def test_readme_schema_block_is_read():
@@ -240,7 +271,6 @@ def _blocks(doc):
         "solver": doc["solver"],
         "solver.inner": doc["solver"]["inner"],
         "solver.stage2": doc["solver"]["stage2"],
-        "metrics": doc["metrics"],
     }
 
 
@@ -292,6 +322,11 @@ class TestSolverBlocks:
             ),
         )
         assert set(DESK_SEQUENTIAL) == {"desk_point", "desk_cyst"}
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_stage2_preset_is_the_deconvolution_preset(self, preset):
+        stage2 = solver_config({"mode": "sequential", "stage2": {"preset": preset}}).stage2
+        assert stage2 == solver_config({"mode": "sequential", "preset": preset}).stage2
 
     def test_single_term_mode_needs_no_inactive_weight(self):
         beamform = solver_config({"mode": "beamform_only", "mu": 0.2})

@@ -291,3 +291,20 @@ class TestMasksAndRegions:
         assert doc["averages"]["fwhm_axial_mm"] == pytest.approx(0.15)
         text = rep.to_text()
         assert "FWHM_A" in text and "gCNR" in text
+
+
+class TestMeasureKind:
+    """Without a kind, ``measure`` scores the targets the phantom holds."""
+
+    @pytest.mark.parametrize("name, kind", [("desk_point", "point"), ("desk_cyst", "cyst")])
+    def test_unset_kind_is_the_phantoms_kind(self, name, kind):
+        from pwrecon import pipeline
+        from pwrecon.config import get_builtin_config, run_config_from_dict
+
+        cfg = run_config_from_dict(get_builtin_config(name))
+        phantom = pipeline.make_phantom(cfg)
+        image = RfImage(phantom.trf, cfg.grid)
+        inferred = pipeline.measure(cfg, phantom, image, reference=image)
+        chosen = pipeline.measure(cfg, phantom, image, reference=image, kind=kind)
+        assert inferred.to_json_dict() == chosen.to_json_dict()
+        assert (inferred.gcnr == []) == (kind == "point")

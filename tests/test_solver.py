@@ -799,6 +799,9 @@ class TestRecycledStart:
     # nearly collinear earlier solutions: without a cutoff their least-squares
     # coefficients reach 1e8 and the stored A z_j drift to 0.28 of the threshold
     @example(seed=131, gamma_d=0.0, gamma_b=2.0, mu=0.0, beta=4.0, warm=False, cap=3)
+    # a fit of condition 6.8e7, kept by an eps / tol cutoff: its rounding put
+    # an exit residual 1.0000028 times over the threshold
+    @example(seed=3689965720, gamma_d=0.0, gamma_b=0.05, mu=0.0, beta=0.2, warm=True, cap=None)
     def test_exit_residual_and_result_match_exact_updates(
         self, covered_instance, seed, gamma_d, gamma_b, mu, beta, warm, cap
     ):
