@@ -27,7 +27,7 @@ from .beamform import compound, das_beamform, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
-from .solver import SolverError, mode_fields
+from .solver import MODES, SolverError, mode_fields
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 3
@@ -66,7 +66,7 @@ def _build_parser():
     p.add_argument("--psf", help="PSF container; defaults to the config choice")
     p.add_argument(
         "--mode",
-        choices=("joint", "beamform", "deconv", "sequential"),
+        choices=MODES,
         help="override the config's reconstruction mode",
     )
     p.add_argument("--out", required=True, help="output RF image container")
@@ -99,14 +99,6 @@ def _build_parser():
     return parser
 
 
-_MODE_FLAG = {
-    "joint": "joint",
-    "beamform": "beamform_only",
-    "deconv": "deconv_only",
-    "sequential": "sequential",
-}
-
-
 def _cmd_simulate(args):
     cfg = load_run_config(args.config)
     model = pipeline.build_model(cfg)
@@ -136,7 +128,7 @@ def _cmd_solve(args):
     cfg = load_run_config(args.config)
     scfg = cfg.solver
     if args.mode:
-        scfg = replace(scfg, **mode_fields(_MODE_FLAG[args.mode], vars(scfg)))
+        scfg = replace(scfg, **mode_fields(args.mode, vars(scfg)))
 
     ch = read_container(args.channel, "channel") if args.channel else None
     y_das = read_container(args.das, "rfimage") if args.das else None

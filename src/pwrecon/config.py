@@ -56,8 +56,7 @@ def _preset_block(mode, preset):
         return dict(zip(("gamma_d", "gamma_b", "beta", "mu"), joint))
     block = dict(zip(("mu", "beta"), deconv if mode == "deconv_only" else beamform))
     if mode == "sequential":
-        stage2 = dict(zip(("mu", "beta"), deconv), mode="deconv_only")
-        block.update(gamma_d=0.0, gamma_b=1.0, stage2=stage2)
+        block.update(gamma_d=0.0, stage2=dict(zip(("mu", "beta"), deconv)))
     return block
 
 
@@ -127,14 +126,15 @@ def _one_of(*choices):
 # Keys of the grid block (its spacing comes from the probe) and of the
 # blocks a RunConfig keeps as plain dicts. Phantom and PSF blocks are read
 # by the (keys, required keys) of the type they name, so a key of another
-# type is an unknown key.
+# type is an unknown key. A blur block names its lateral_sigma; a null blur
+# is no blur.
 _GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
 _SHAPE_KEYS = dict(lateral_sigma="float")
 _PSF_TYPES = {"model": ({}, ()), "parametric": (_SHAPE_KEYS, ())}
 _PHANTOM_KEYS = {
     "snr_db": "float | None",
     "seed": "int",
-    "blur": lambda b, p: None if b is None else _read(b, _SHAPE_KEYS, p),
+    "blur": lambda b, p: None if b is None else _read(b, _SHAPE_KEYS, p, ["lateral_sigma"]),
 }
 _PHANTOM_TYPES = {
     "point": (dict(_PHANTOM_KEYS, points=_points), ("points",)),
@@ -205,10 +205,10 @@ def solver_config(block, path="solver", *, stage=False):
 
     Keys are SolverConfig's fields, ``inner`` and ``stage2`` being nested
     blocks, plus ``preset``: a named experiment preset whose values the
-    block's own keys override. Only a sequential block that is no ``stage2``
-    block itself (``stage``) may hold ``stage2``, as only there a solve reads
-    it. A ``stage2`` block is read in ``deconv_only`` mode, the mode its stage
-    runs in, and holds no other. ``mode_fields`` completes single-term modes.
+    block's own keys override. Only a sequential block holds ``stage2``, as
+    only there a solve reads it. A ``stage2`` block (``stage``) is read in
+    ``deconv_only`` mode, the mode its stage runs in, so it holds neither
+    ``mode`` nor ``stage2``. ``mode_fields`` completes the mode's weights.
     """
     mode = "deconv_only" if stage else "joint"
     if isinstance(block, dict) and "preset" in block:
@@ -219,11 +219,11 @@ def solver_config(block, path="solver", *, stage=False):
         inner=lambda b, p: _build(InnerSettings, b, p),
         stage2=lambda b, p: solver_config(b, p, stage=True),
     )
+    if stage:
+        del types["mode"], types["stage2"]
     values = _read(block, types, path)
-    if "stage2" in values and (stage or values.get("mode") != "sequential"):
-        raise ConfigError("key 'stage2' in %s: only a top-level sequential block has one" % path)
-    if stage and values.setdefault("mode", mode) != mode:
-        raise ConfigError("key 'mode' in %s holds %r, not %r" % (path, values["mode"], mode))
+    if "stage2" in values and values.get("mode") != "sequential":
+        raise ConfigError("key 'stage2' in %s: only a sequential block has one" % path)
     values.pop("preset", None)
     values.update(mode_fields(values.get("mode", mode), values))
     return _construct(SolverConfig, values, path)
@@ -338,11 +338,11 @@ _BUILTIN_CONFIGS = {
 DESK_SEQUENTIAL = {
     "desk_point": {
         "mode": "sequential", "gamma_d": 0.0, "gamma_b": 1.0, "beta": 12.0, "mu": 0.06,
-        "stage2": {"mode": "deconv_only", "gamma_d": 1.0, "beta": 24.0, "mu": 0.1},
+        "stage2": {"gamma_d": 1.0, "beta": 24.0, "mu": 0.1},
     },
     "desk_cyst": {
         "mode": "sequential", "gamma_d": 0.0, "gamma_b": 1.0, "beta": 24.0, "mu": 0.3,
-        "stage2": {"mode": "deconv_only", "gamma_d": 1.0, "beta": 24.0, "mu": 0.3},
+        "stage2": {"gamma_d": 1.0, "beta": 24.0, "mu": 0.3},
     },
 }
 

@@ -86,9 +86,9 @@ def _blur_kernel(cfg):
     baseline images.
     """
     spec = (cfg.phantom or {}).get("blur")
-    if not spec:
+    if spec is None:
         return None
-    return _parametric_psf(cfg, spec.get("lateral_sigma", 0.5))
+    return _parametric_psf(cfg, spec["lateral_sigma"])
 
 
 def make_phantom(cfg):
@@ -185,9 +185,9 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
 
     ``solver.observations_needed`` names what the mode reads: ``ch`` for
     the channel term, and a PSF and ``y_das`` for the blur term, ``y_das``
-    computed by delay-and-sum from ``ch`` when not given. With ``model``
-    None the system matrix is built from ``cfg`` only if one of those, or a
-    ``"model"`` PSF, needs it.
+    computed by delay-and-sum from ``ch`` on ``cfg``'s grid when not given.
+    With ``model`` None the system matrix is built from ``cfg`` only for the
+    channel term or a ``"model"`` PSF.
     """
     scfg = cfg.solver
     needs = observations_needed(scfg)
@@ -198,10 +198,10 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
     if ch is None and needs_das:
         raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
     model_psf = needs_psf and cfg.psf.get("type", "model") == "model"
-    if model is None and (needs["channel"] or needs_das or model_psf):
+    if model is None and (needs["channel"] or model_psf):
         model = build_model(cfg)
     if needs_das:
-        y_das = reference_das(model, ch)
+        y_das = das_beamform(ch, cfg.grid, cfg.apodization)
     if needs_psf:
         psf = resolve_psf(cfg, model=model)
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)

@@ -75,12 +75,15 @@ def mode_fields(mode, values):
 
     A single-term mode keeps one data term: beamform_only sets gamma_d = 0
     and keeps gamma_b, or 1.0 where gamma_b is unset or zero; deconv_only is
-    the mirror image. Other modes change only ``mode``.
+    the mirror image. Sequential keeps gamma_b by the same rule, as its
+    first stage is beamform_only. Joint changes only ``mode``.
     """
     if mode == "beamform_only":
         return {"mode": mode, "gamma_d": 0.0, "gamma_b": values.get("gamma_b") or 1.0}
     if mode == "deconv_only":
         return {"mode": mode, "gamma_b": 0.0, "gamma_d": values.get("gamma_d") or 1.0}
+    if mode == "sequential":
+        return {"mode": mode, "gamma_b": values.get("gamma_b") or 1.0}
     return {"mode": mode}
 
 

@@ -1,4 +1,6 @@
-"""tools/builtin_digests.py prints one entry per builtin solve."""
+"""tools/builtin_digests.py prints one entry per builtin solve, and the
+desk_point entries are pinned: a change that moves a builtin image updates
+the pin and says why."""
 
 import json
 import os
@@ -8,6 +10,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+DESK_POINT = {
+    "desk_point joint": {
+        "iterations": [28], "products": 618, "inner_capped": 0, "basis_columns": 24,
+        "sha1": "2ce155f5753d",
+    },
+    "desk_point sequential": {
+        "iterations": [2, 49], "products": 78, "inner_capped": 0, "basis_columns": 24,
+        "sha1": "51830730add2",
+    },
+}
+
 
 def test_prints_counts_and_digest_of_each_solve_of_one_config():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -16,15 +29,5 @@ def test_prints_counts_and_digest_of_each_solve_of_one_config():
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     doc = json.loads(done.stdout)
-    assert list(doc) == ["desk_point joint", "desk_point sequential"]
-    for key, stages in (("desk_point joint", 1), ("desk_point sequential", 2)):
-        entry = doc[key]
-        assert set(entry) == {
-            "iterations", "products", "inner_capped", "basis_columns", "sha1",
-        }
-        assert len(entry["iterations"]) == stages
-        assert all(isinstance(n, int) and n >= 1 for n in entry["iterations"])
-        for count in ("products", "inner_capped", "basis_columns"):
-            assert isinstance(entry[count], int) and entry[count] >= 0
-        assert entry["products"] > 0
-        assert len(entry["sha1"]) == 12 and int(entry["sha1"], 16) >= 0
+    assert list(doc) == list(DESK_POINT)
+    assert doc == DESK_POINT

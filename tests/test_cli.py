@@ -19,6 +19,7 @@ from pwrecon import (
     write_container,
 )
 from pwrecon.cli import _build_parser, main
+from pwrecon.solver import MODES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -111,7 +112,7 @@ class TestPipelineComposition:
     def test_solve_modes_and_das_autocompute(self, small_config, tmp_path):
         ch = tmp_path / "channel.usjd"
         assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
-        for mode in ("beamform", "deconv", "sequential"):
+        for mode in ("beamform_only", "deconv_only", "sequential"):
             out = tmp_path / ("%s.usjd" % mode)
             code = main([
                 "solve", "--config", str(small_config), "--channel", str(ch),
@@ -283,9 +284,22 @@ class TestCliErrors:
         ])
         assert code == 4
 
+    def test_solve_mode_takes_the_solver_modes(self, small_config, tmp_path):
+        (solve,) = (
+            action.choices["solve"] for action in _build_parser()._actions
+            if action.dest == "command"
+        )
+        (mode,) = (action for action in solve._actions if action.dest == "mode")
+        assert tuple(mode.choices) == MODES
+        for flag in ("beamform", "deconv"):
+            with pytest.raises(SystemExit) as err:
+                main(["solve", "--config", str(small_config), "--mode", flag,
+                      "--out", str(tmp_path / "o.usjd")])
+            assert err.value.code == 2
+
     def test_solve_without_channel_names_the_flag(self, small_config, tmp_path, capsys):
         code = main([
-            "solve", "--config", str(small_config), "--mode", "beamform",
+            "solve", "--config", str(small_config), "--mode", "beamform_only",
             "--out", str(tmp_path / "o.usjd"),
         ])
         assert code == 4
@@ -492,7 +506,7 @@ class TestSequentialComputesNoDas:
         cfg = load_run_config(str(small_config))
         cfg.solver = solver_config(
             {"mode": "sequential", "gamma_d": 0.0, "gamma_b": 1.0, "mu": 0.1,
-             "beta": 12.0, "max_iter": 10, "stage2": {"mode": "deconv_only"}}
+             "beta": 12.0, "max_iter": 10, "stage2": {}}
         )
         model = pipeline.build_model(cfg)
         ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
@@ -593,7 +607,7 @@ class TestChannelGeometryMismatch:
 
 
 class TestNonFiniteChannelData:
-    @pytest.mark.parametrize("command", [["solve", "--mode", "beamform"], ["das"]])
+    @pytest.mark.parametrize("command", [["solve", "--mode", "beamform_only"], ["das"]])
     def test_one_nan_sample_exits_4_at_read(self, tmp_path, capsys, command):
         ch_path = tmp_path / "channel.usjd"
         assert main(["simulate", "--config", "builtin:desk_point", "--out", str(ch_path)]) == 0
@@ -653,6 +667,26 @@ class TestRunReconstructionBuildsMatrixOnDemand:
         report = pipeline.run_reconstruction(cfg, None, None, y_das=y_das)
         assert calls == []
         assert np.all(np.isfinite(report.result.data))
+
+    def test_deconv_only_derives_das_without_it(self, small_config, monkeypatch):
+        from pwrecon import pipeline
+        from pwrecon.config import load_run_config, mode_fields
+
+        cfg = load_run_config(str(small_config))
+        model = pipeline.build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        cfg.solver = replace(
+            cfg.solver, **mode_fields("deconv_only", vars(cfg.solver))
+        )
+        y_das = pipeline.reference_das(model, ch)
+        given = pipeline.run_reconstruction(cfg, None, None, y_das=y_das)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("delay-and-sum of channel data needs no system matrix")
+
+        monkeypatch.setattr(pipeline, "build_model", fail)
+        report = pipeline.run_reconstruction(cfg, None, ch)
+        assert np.array_equal(report.result.data, given.result.data)
 
     def test_deconv_only_builds_it_for_a_model_psf(self, monkeypatch):
         from pwrecon import pipeline

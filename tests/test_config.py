@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from pwrecon import (
     make_cyst_phantom,
     make_parametric_psf,
 )
+from pwrecon import pipeline
 from pwrecon.cli import main
 from pwrecon.config import (
     DESK_SEQUENTIAL,
@@ -63,6 +65,8 @@ BAD_DOCS = {
     "center_of_one": (lambda d: d.update(phantom=_cyst([8.2e-3])), "center"),
     # a null num_samples derives the window's start, so an offset would be lost
     "t0_offset_without_num_samples": (lambda d: d["probe"].update(t0_offset=5e-6), "t0_offset"),
+    # a blur block names its sigma: null, not {}, is no blur
+    "blur_without_lateral_sigma": (lambda d: d["phantom"].update(blur={}), "lateral_sigma"),
 }
 
 # Numbers json reads as NaN or Infinity: each would reach a solve, a
@@ -88,8 +92,7 @@ NON_FINITE = {
 
 
 def _stage2_in_stage2(doc):
-    stage2 = {"mode": "deconv_only", "stage2": {"mode": "deconv_only", "mu": 0.5}}
-    doc["solver"] = {**DESK_SEQUENTIAL["desk_point"], "stage2": stage2}
+    doc["solver"] = {**DESK_SEQUENTIAL["desk_point"], "stage2": {"stage2": {"mu": 0.5}}}
 
 
 def _stage2_in_mode(mode):
@@ -100,8 +103,8 @@ def _stage2_in_mode(mode):
 
 
 # Blocks the program would not read: an unknown type or kind, a key of
-# another type, a second stage outside a sequential block or in a mode its
-# stage does not run.
+# another type, a second stage outside a sequential block, and a mode or a
+# further stage in a second stage, which always runs deconv_only.
 IGNORED = {
     "phantom_type": (lambda d: d["phantom"].update(type="line"), "type"),
     "psf_type": (lambda d: d.update(psf={"type": "bogus"}), "type"),
@@ -115,12 +118,11 @@ IGNORED = {
     "shape_on_a_model_psf": (
         lambda d: d.update(psf={"type": "model", "lateral_sigma": 1.0}), "lateral_sigma"
     ),
-    "stage2_in_joint": (
-        lambda d: d["solver"].update(stage2={"mode": "deconv_only"}), "stage2"
-    ),
+    "stage2_in_joint": (lambda d: d["solver"].update(stage2={"mu": 0.1}), "stage2"),
     "stage2_in_stage2": (_stage2_in_stage2, "stage2"),
     "stage2_beamform_only": _stage2_in_mode("beamform_only"),
     "stage2_joint": _stage2_in_mode("joint"),
+    "stage2_deconv_only": _stage2_in_mode("deconv_only"),
 }
 
 # Values the reader no longer knows, each at its former default (the
@@ -200,6 +202,17 @@ def test_removed_value_is_an_unknown_key(path):
     assert str(err.value) == "unknown key %r in %s" % (key, where)
 
 
+def test_blur_block_needs_its_sigma_and_null_is_no_blur():
+    doc = get_builtin_config("desk_point")
+    doc["phantom"]["blur"] = {}
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(doc)
+    assert str(err.value) == "missing key 'lateral_sigma' in phantom.blur"
+    doc["phantom"]["blur"] = None
+    phantom = pipeline.make_phantom(run_config_from_dict(doc))
+    assert np.count_nonzero(phantom.trf) == len(doc["phantom"]["points"])
+
+
 def test_t0_offset_is_read_with_num_samples():
     doc = get_builtin_config("desk_point")
     doc["probe"]["t0_offset"] = 5e-6
@@ -259,7 +272,7 @@ def _blocks(doc):
     """Every block of a full document, by path."""
     doc["solver"]["mode"] = "sequential"  # the one mode that reads stage2
     doc["solver"]["inner"] = {"max_iter": 20}
-    doc["solver"]["stage2"] = {"mode": "deconv_only", "mu": 0.1}
+    doc["solver"]["stage2"] = {"mu": 0.1}
     return {
         "run config": doc,
         "probe": doc["probe"],
@@ -328,6 +341,14 @@ class TestSolverBlocks:
         stage2 = solver_config({"mode": "sequential", "stage2": {"preset": preset}}).stage2
         assert stage2 == solver_config({"mode": "sequential", "preset": preset}).stage2
 
+    @pytest.mark.parametrize("key, value", [("mode", "deconv_only"), ("stage2", {})])
+    def test_stage2_block_holds_no_mode_and_no_stage(self, key, value):
+        block = {**DESK_SEQUENTIAL["desk_point"]}
+        block["stage2"] = {**block["stage2"], key: value}
+        with pytest.raises(ConfigError) as err:
+            solver_config(block)
+        assert str(err.value) == "unknown key %r in solver.stage2" % key
+
     def test_single_term_mode_needs_no_inactive_weight(self):
         beamform = solver_config({"mode": "beamform_only", "mu": 0.2})
         assert (beamform.gamma_d, beamform.gamma_b) == (0.0, 1.0)
@@ -352,7 +373,7 @@ class TestSolverBlocks:
         path.write_text(json.dumps(doc))
         ch = tmp_path / "ch.usjd"
         assert main(["simulate", "--config", str(path), "--out", str(ch)]) == 0
-        for flag in ("deconv", "beamform"):
+        for flag in ("deconv_only", "beamform_only"):
             argv = ["solve", "--config", str(path), "--channel", str(ch),
                     "--mode", flag, "--out", str(tmp_path / "x.usjd")]
             assert main(argv) == 4

@@ -19,6 +19,7 @@ from pwrecon import (
     solve,
     sparsity_update,
 )
+from pwrecon.config import solver_config
 from pwrecon.solver import SolverState, _conjugate_residual, _NormalEquations
 
 from conftest import channel_data
@@ -374,6 +375,25 @@ class TestSolve:
         assert (stage1.mode, stage1.gamma_d, stage1.gamma_b) == ("beamform_only", 0.0, 1.0)
         assert (stage2.mode, stage2.gamma_d, stage2.gamma_b) == ("deconv_only", 1.0, 0.0)
         assert np.all(np.isfinite(report.result.data))
+
+    @pytest.mark.parametrize("stage2", [None, {"preset": "sr"}])
+    @pytest.mark.parametrize(
+        "keys", [{"mu": 0.2, "beta": 2.0}, {"preset": "sr"}, {"preset": "cc"}]
+    )
+    def test_sequential_first_stage_is_the_beamform_only_block(
+        self, covered_instance, rng, keys, stage2
+    ):
+        # a sequential block without gamma_b gets its stage-1 weight by the
+        # rule beamform_only follows, not SolverConfig's joint default
+        model = covered_instance["model"]
+        x = np.zeros(covered_instance["grid"].shape)
+        x[6, 6] = 1.0
+        y_ch = channel_data(model, model.apply(x.reshape(-1, order="F")))
+        keys = dict(keys, max_iter=3)
+        block = dict(keys, mode="sequential", **({"stage2": stage2} if stage2 else {}))
+        report = solve(solver_config(block), model=model, y_ch=y_ch, psf=make_psf(rng))
+        beamform = solver_config(dict(keys, mode="beamform_only"))
+        assert report.stages[0].config == beamform
 
     def test_mode_requirements_validated(self, covered_instance, rng):
         model = covered_instance["model"]
