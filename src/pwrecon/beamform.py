@@ -7,7 +7,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .forward_model import element_geometry
 
@@ -103,10 +103,16 @@ def envelope(img):
     Computed per column by one-sided spectral doubling; output is
     nonnegative.
     """
-    if img.grid.nz < 4:
+    nz = img.grid.nz
+    if nz < 4:
         raise ValueError("envelope needs at least 4 axial samples")
-    analytic = scipy.signal.hilbert(img.data, axis=0)
-    return RfImage(data=np.abs(analytic), grid=img.grid)
+    # scipy.signal.hilbert's arithmetic, without importing scipy.signal:
+    # double the positive frequencies, zero the negative ones and keep DC
+    # (and Nyquist for even nz)
+    spectrum = scipy.fft.fft(img.data, axis=0)
+    spectrum[1 : (nz + 1) // 2] *= 2.0
+    spectrum[nz // 2 + 1 :] = 0.0
+    return RfImage(data=np.abs(scipy.fft.ifft(spectrum, axis=0)), grid=img.grid)
 
 
 def log_compress(env, dynamic_range=60.0):

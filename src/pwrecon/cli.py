@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .acquisition import TARGET_KINDS
@@ -27,7 +26,7 @@ from .beamform import compound, das_beamform, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
-from .solver import MODES, SolverError, mode_fields
+from .solver import MODES, SolverError
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 3
@@ -125,24 +124,18 @@ def _cmd_compound(args):
 
 
 def _cmd_solve(args):
-    cfg = load_run_config(args.config)
-    scfg = cfg.solver
-    if args.mode:
-        scfg = replace(scfg, **mode_fields(args.mode, vars(scfg)))
-
+    cfg = load_run_config(args.config, mode=args.mode)
     ch = read_container(args.channel, "channel") if args.channel else None
     y_das = read_container(args.das, "rfimage") if args.das else None
     psf = read_container(args.psf, "psf") if args.psf else None
-    report = pipeline.run_reconstruction(
-        replace(cfg, solver=scfg), None, ch, psf=psf, y_das=y_das
-    )
+    report = pipeline.run_reconstruction(cfg, None, ch, psf=psf, y_das=y_das)
     write_container(report.result, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
     print(
         "solved mode=%s iterations=%d converged=%s"
-        % (scfg.mode, report.iterations, report.converged)
+        % (cfg.solver.mode, report.iterations, report.converged)
     )
     return EXIT_OK
 

@@ -126,11 +126,11 @@ def _one_of(*choices):
 # Keys of the grid block (its spacing comes from the probe) and of the
 # blocks a RunConfig keeps as plain dicts. Phantom and PSF blocks are read
 # by the (keys, required keys) of the type they name, so a key of another
-# type is an unknown key. A blur block names its lateral_sigma; a null blur
-# is no blur.
+# type is an unknown key. A blur block and a parametric PSF name their
+# lateral_sigma; a null blur is no blur.
 _GRID_KEYS = dict(nz="int", nx="int", z_origin="float")
 _SHAPE_KEYS = dict(lateral_sigma="float")
-_PSF_TYPES = {"model": ({}, ()), "parametric": (_SHAPE_KEYS, ())}
+_PSF_TYPES = {"model": ({}, ()), "parametric": (_SHAPE_KEYS, ("lateral_sigma",))}
 _PHANTOM_KEYS = {
     "snr_db": "float | None",
     "seed": "int",
@@ -361,15 +361,26 @@ def get_builtin_config(name):
     return copy.deepcopy(_BUILTIN_CONFIGS[name])
 
 
-def load_run_config(source):
-    """Load a RunConfig from a JSON file path or a ``builtin:<name>`` tag."""
+def load_run_config(source, mode=None):
+    """Load a RunConfig from a JSON file path or a ``builtin:<name>`` tag.
+
+    A ``mode`` (``solve --mode``) is read as if the solver block named it,
+    so the block's weights follow that mode's rule; only sequential mode
+    keeps the block's ``stage2``, as only it reads one.
+    """
     if isinstance(source, str) and source.startswith("builtin:"):
-        return run_config_from_dict(get_builtin_config(source[len("builtin:"):]))
-    if not os.path.exists(source):
-        raise FileNotFoundError("run config %s does not exist" % source)
-    with open(source, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as err:
-            raise ConfigError("%s: %s" % (source, err))
+        doc = get_builtin_config(source[len("builtin:"):])
+    else:
+        if not os.path.exists(source):
+            raise FileNotFoundError("run config %s does not exist" % source)
+        with open(source, "r", encoding="utf-8") as f:
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as err:
+                raise ConfigError("%s: %s" % (source, err))
+    block = doc.get("solver", {}) if isinstance(doc, dict) else None
+    if mode is not None and isinstance(block, dict):  # else the reader refuses it
+        doc["solver"] = {**block, "mode": mode}
+        if mode != "sequential":
+            doc["solver"].pop("stage2", None)
     return run_config_from_dict(doc)

@@ -216,28 +216,42 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     t0 = probe.t0_offset
     gate = 1.0 / fs
     m_count = num_samples
-    pix_idx = np.arange(grid.num_pixels, dtype=np.int64)
+    num_elements = probe.num_elements
+    pix_idx = np.arange(grid.num_pixels, dtype=np.int32)
 
     # element n owns rows n*M .. (n+1)*M - 1, so each element's entries,
     # ordered by (sample, column), are one contiguous stretch of the CSR
-    # arrays: only per-row counts, int32 columns and weights are kept
-    counts_out = []
-    indices_out = []
-    weights_out = []
-    for tau, apw in element_geometry(probe, grid, tx, apod):
+    # arrays. They are gathered straight into that stretch; the two arrays
+    # grow in place and shrink to nnz at the end, so no second copy of the
+    # matrix is ever held and no per-element block is left in the heap
+    row_counts = np.empty(num_elements * m_count, dtype=np.int64)
+    indices = np.empty(0, dtype=np.int32)
+    data = np.empty(0)
+    nnz = 0
+    for n, (tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
         base = np.floor((tau - t0) * fs).astype(np.int64)
         samp_list = []
         col_list = []
         dt_list = []
-        # each pixel can land within the gate of at most a few neighbor samples
-        for k in (-1, 0, 1, 2):
-            i = base + k
-            t_i = i / fs + t0
-            dt = np.abs(t_i - tau)
+
+        def within_gate(k, px):
+            """Keep sample base + k of pixels ``px`` where it lies within the
+            gate of the delay; return every tried pixel's mismatch."""
+            i = base[px] + k
+            dt = np.abs(i / fs + t0 - tau[px])
             ok = (dt <= gate) & (i >= 0) & (i < m_count)
             samp_list.append(i[ok])
-            col_list.append(pix_idx[ok])
+            col_list.append(pix_idx[px][ok])
             dt_list.append(dt[ok])
+            return dt
+
+        # a delay lies between samples base and base + 1, within the gate of
+        # both; it is within the gate of base - 1 (base + 2) only when it
+        # sits on base (base + 1) up to rounding, so only such pixels are
+        # tried there
+        for k, beyond in ((0, -1), (1, 2)):
+            on_sample = np.flatnonzero(within_gate(k, slice(None)) <= 1e-6 * gate)
+            within_gate(beyond, on_sample)
         samp = np.concatenate(samp_list)
         col = np.concatenate(col_list)
         dt = np.concatenate(dt_list)
@@ -246,28 +260,34 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
         t_max = np.zeros(m_count)
         np.maximum.at(t_max, samp, dt)
         counts = np.bincount(samp, minlength=m_count)
-        raw = 1.0 - dt / np.where(t_max[samp] > 0.0, t_max[samp], 1.0)
+        entry_max = t_max[samp]
+        raw = 1.0 - dt / np.where(entry_max > 0.0, entry_max, 1.0)
         # a sample with a single contributor (or all mismatches zero) keeps it
         # at full weight instead of annihilating the only datum
-        raw = np.where((counts[samp] == 1) | (t_max[samp] == 0.0), 1.0, raw)
+        raw = np.where((counts[samp] == 1) | (entry_max == 0.0), 1.0, raw)
 
         w = raw * apw[col]
         keep = w > 0.0
         samp, col, w = samp[keep], col[keep], w[keep]
+        row_counts[n * m_count : (n + 1) * m_count] = np.bincount(samp, minlength=m_count)
+        end = nnz + samp.size
+        if end > indices.size:
+            # room for the mean block so far times the element count, and
+            # at least an eighth more; realloc keeps the entries written
+            size = max(end * num_elements // (n + 1), indices.size * 9 // 8, end)
+            # no view of either array outlives the statement that makes it
+            indices.resize(size, refcheck=False)
+            data.resize(size, refcheck=False)
         order = np.lexsort((col, samp))
-        counts_out.append(np.bincount(samp, minlength=m_count))
-        indices_out.append(col[order].astype(np.int32))
-        weights_out.append(w[order])
+        np.take(col, order, out=indices[nnz:end])
+        np.take(w, order, out=data[nnz:end])
+        nnz = end
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
 
-    shape = (m_count * probe.num_elements, grid.num_pixels)
-    nnz = sum(block.size for block in indices_out)
+    shape = (m_count * num_elements, grid.num_pixels)
     indptr = np.zeros(shape[0] + 1, dtype=np.int32 if nnz < 2**31 else np.int64)
-    np.cumsum(np.concatenate(counts_out), out=indptr[1:])
-    # drop each block list once joined, so at most one copy of either exists
-    indices = np.concatenate(indices_out)
-    del indices_out
-    data = np.concatenate(weights_out)
-    del weights_out
+    np.cumsum(row_counts, out=indptr[1:])
     matrix = sp.csr_matrix((data, indices, indptr), shape=shape)
     return SparseSystemMatrix(
         matrix=matrix,

@@ -177,7 +177,7 @@ def write_container(obj, path):
             for array, dtype in zip(arrays, PAYLOADS[kind]):
                 array = np.ascontiguousarray(array, dtype=dtype)
                 f.write(struct.pack("<Q", array.size))
-                f.write(array.tobytes())
+                f.write(array)  # the array's own buffer, not a bytes copy
         os.replace(tmp, path)
     except BaseException:  # leave no temp file behind
         with contextlib.suppress(OSError):

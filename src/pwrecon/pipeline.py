@@ -176,7 +176,7 @@ def resolve_psf(cfg, model=None):
             raise ConfigError("psf type 'model' needs a system matrix")
         return psf_from_model(model, pre_blur=_blur_kernel(cfg))
     if kind == "parametric":
-        return _parametric_psf(cfg, spec.get("lateral_sigma", 1.0))
+        return _parametric_psf(cfg, spec["lateral_sigma"])
     raise ConfigError("unknown psf type %r" % kind)
 
 

@@ -153,6 +153,17 @@ class TestEnvelope:
         interior = slice(16, -16)
         assert np.all(env.data[interior] >= np.abs(data[interior]) * (1 - 0.02))
 
+    @pytest.mark.parametrize("nz", [4, 5, 6, 7, 64, 97])
+    def test_equals_the_scipy_signal_hilbert_oracle(self, tiny_probe, rng, nz):
+        import scipy.signal
+
+        from pwrecon import ImagingGrid
+
+        grid = ImagingGrid.for_probe(tiny_probe, nz=nz, nx=5, z_origin=0.0)
+        data = rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-3, 3, grid.nx)
+        oracle = np.abs(scipy.signal.hilbert(data, axis=0))
+        assert np.array_equal(envelope(RfImage(data, grid)).data, oracle)
+
     def test_needs_four_axial_samples(self, tiny_probe):
         from pwrecon import ImagingGrid
 

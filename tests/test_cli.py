@@ -1,8 +1,10 @@
 """Command-line pipeline: subcommands composing through container files."""
 
 import json
+import os
 import shlex
 import struct
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +24,20 @@ from pwrecon.cli import _build_parser, main
 from pwrecon.solver import MODES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    """scipy.signal is about half of the CLI's start-up memory; nothing
+    pwrecon runs needs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = "import sys, pwrecon.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture()
@@ -585,6 +601,67 @@ class TestSequentialStages:
             "solve", "--config", str(small_config), "--channel", str(ch),
             "--mode", "joint", "--out", str(tmp_path / "joint.usjd"),
         ]) == 0
+
+
+class TestModeFlag:
+    """``solve --mode`` reads the solver block as if the block named that mode."""
+
+    BLOCKS = {
+        "bare": {"mu": 0.2, "max_iter": 10},
+        "preset": {"preset": "sr", "max_iter": 10},
+        "deconv_only": {"mode": "deconv_only", "gamma_d": 2.0, "mu": 0.1},
+        "sequential": {"mode": "sequential", "gamma_b": 0.25, "max_iter": 10,
+                       "stage2": {"mu": 0.5}},
+    }
+
+    @staticmethod
+    def _solver_config(config, flags, tmp_path, monkeypatch):
+        """The SolverConfig that ``solve`` hands to the solver."""
+        from pwrecon import pipeline
+        from pwrecon.config import ConfigError
+
+        seen = []
+
+        def captured(scfg, **kwargs):
+            seen.append(scfg)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(pipeline, "solve", captured)
+        ch = tmp_path / "channel.usjd"
+        if not ch.exists():
+            assert main(["simulate", "--config", str(config), "--out", str(ch)]) == 0
+        assert main([
+            "solve", "--config", str(config), "--channel", str(ch), *flags,
+            "--out", str(tmp_path / "x.usjd"),
+        ]) == 4
+        (scfg,) = seen
+        return scfg
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    def test_flag_equals_the_mode_written_in_the_block(
+        self, small_config, tmp_path, monkeypatch, block, mode
+    ):
+        doc = json.loads(small_config.read_text())
+        doc["solver"] = self.BLOCKS[block]
+        small_config.write_text(json.dumps(doc))
+        flagged = self._solver_config(small_config, ["--mode", mode], tmp_path, monkeypatch)
+        doc["solver"] = {**self.BLOCKS[block], "mode": mode}
+        if mode != "sequential":  # only a sequential block holds a stage 2
+            doc["solver"].pop("stage2", None)
+        small_config.write_text(json.dumps(doc))
+        written = self._solver_config(small_config, [], tmp_path, monkeypatch)
+        assert flagged == written
+
+    @pytest.mark.parametrize("mode", ["beamform_only", "sequential"])
+    def test_unset_gamma_b_is_the_single_term_weight(
+        self, small_config, tmp_path, monkeypatch, mode
+    ):
+        doc = json.loads(small_config.read_text())
+        doc["solver"] = self.BLOCKS["bare"]
+        small_config.write_text(json.dumps(doc))
+        scfg = self._solver_config(small_config, ["--mode", mode], tmp_path, monkeypatch)
+        assert scfg.gamma_b == 1.0
 
 
 class TestChannelGeometryMismatch:

@@ -67,6 +67,9 @@ BAD_DOCS = {
     "t0_offset_without_num_samples": (lambda d: d["probe"].update(t0_offset=5e-6), "t0_offset"),
     # a blur block names its sigma: null, not {}, is no blur
     "blur_without_lateral_sigma": (lambda d: d["phantom"].update(blur={}), "lateral_sigma"),
+    "parametric_psf_without_lateral_sigma": (
+        lambda d: d.update(psf={"type": "parametric"}), "lateral_sigma"
+    ),
 }
 
 # Numbers json reads as NaN or Infinity: each would reach a solve, a
@@ -211,6 +214,14 @@ def test_blur_block_needs_its_sigma_and_null_is_no_blur():
     doc["phantom"]["blur"] = None
     phantom = pipeline.make_phantom(run_config_from_dict(doc))
     assert np.count_nonzero(phantom.trf) == len(doc["phantom"]["points"])
+
+
+def test_parametric_psf_needs_its_sigma():
+    doc = get_builtin_config("desk_point")
+    doc["psf"] = {"type": "parametric"}
+    with pytest.raises(ConfigError) as err:
+        run_config_from_dict(doc)
+    assert str(err.value) == "missing key 'lateral_sigma' in psf"
 
 
 def test_t0_offset_is_read_with_num_samples():

@@ -411,7 +411,9 @@ def _assert_canonical(mat):
 
 
 class TestCsrAssembly:
-    def test_peak_memory_within_twice_the_csr(self):
+    def test_peak_memory_within_one_and_a_half_csr(self):
+        # the entries are written into the CSR arrays as they grow; the
+        # traced peak measures 1.28-1.30x the CSR on desk_point
         cfg = run_config_from_dict(get_builtin_config("desk_point"))
         probe, num = cfg.resolve_time_window()
         tracemalloc.start()
@@ -424,7 +426,7 @@ class TestCsrAssembly:
         finally:
             tracemalloc.stop()
         csr_bytes = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        assert peak <= 2.0 * csr_bytes
+        assert peak <= 1.5 * csr_bytes
 
     def test_element_that_sees_no_pixel(self, tiny_probe, tiny_tx):
         # two columns under the probe centre with a narrow aperture: the end
@@ -438,6 +440,24 @@ class TestCsrAssembly:
         assert per_element[0] == 0 and per_element[-1] == 0
         assert per_element.sum() > 0
         assert np.array_equal(mat.toarray(), dense_oracle(probe, grid, tiny_tx, num, apod))
+        _assert_canonical(mat)
+
+    @pytest.mark.parametrize("fs", [20e6, 25e6])
+    def test_delays_on_sample_times_match_the_dense_oracle(self, fs):
+        # t0 = 0, pixel depths on multiples of dz and pixels under elements:
+        # delays fall on sample times up to rounding, where a pixel can
+        # also be within the gate of the sample before or after the two
+        # around its delay
+        probe = ProbeGeometry(
+            num_elements=8, pitch=4 * 1540.0 / (2 * fs), sound_speed=1540.0,
+            sampling_freq=fs, center_freq=fs / 4,
+        )
+        grid = ImagingGrid.for_probe(probe, nz=12, nx=8, z_origin=0.0)
+        tx, apod = PlaneWaveTx(angle=0.0), ApodizationSpec(window="rectangular")
+        s = np.concatenate([tau * fs for tau, _ in element_geometry(probe, grid, tx, apod)])
+        assert np.count_nonzero(np.abs(s - np.round(s)) <= 1e-9) > 0
+        mat = build_system_matrix(probe, grid, tx, 200, apod).matrix
+        assert np.array_equal(mat.toarray(), dense_oracle(probe, grid, tx, 200, apod))
         _assert_canonical(mat)
 
     def test_matrix_without_entries_keeps_shape(self, tiny_probe, tiny_grid, tiny_tx):
