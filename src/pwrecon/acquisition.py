@@ -20,6 +20,7 @@ __all__ = [
     "CystRegion",
     "TARGET_KINDS",
     "Phantom",
+    "disc_mask",
     "make_point_phantom",
     "make_cyst_phantom",
     "simulate_channel_data",
@@ -231,6 +232,15 @@ def make_point_phantom(grid, points, amplitude=1.0):
     return Phantom(trf=trf, grid=grid, annotations=annotations)
 
 
+def disc_mask(grid, center, radius):
+    """Boolean mask of pixels within ``radius`` meters of center (z, x)."""
+    if not 0 <= radius < np.inf:
+        raise ValueError("disc radius must be finite and nonnegative, got %r" % radius)
+    cz, cx = center
+    dist2 = (grid.z_positions[:, None] - cz) ** 2 + (grid.x_positions[None, :] - cx) ** 2
+    return dist2 <= radius**2
+
+
 def make_cyst_phantom(grid, center, radius, seed):
     """Anechoic-cyst phantom: unit-variance Gaussian speckle, zero inside the disc.
 
@@ -246,8 +256,7 @@ def make_cyst_phantom(grid, center, radius, seed):
         raise ValueError("cyst center (z=%g, x=%g) lies outside the grid" % (cz, cx))
     rng = np.random.default_rng(seed)
     trf = rng.standard_normal(grid.shape)
-    dist2 = (z[:, None] - cz) ** 2 + (x[None, :] - cx) ** 2
-    trf[dist2 <= radius**2] = 0.0
+    trf[disc_mask(grid, center, radius)] = 0.0
     return Phantom(
         trf=trf,
         grid=grid,
@@ -263,10 +272,10 @@ def simulate_channel_data(phantom, model, snr_db, seed):
     ``snr_db=None`` gives noiseless data. Output is deterministic for fixed
     (phantom, model, snr_db, seed).
     """
-    if model.num_cols != phantom.grid.num_pixels:
+    if phantom.grid != model.grid:
         raise ValueError(
-            "model has %d columns but grid has %d pixels"
-            % (model.num_cols, phantom.grid.num_pixels)
+            "phantom grid %s differs from the system matrix grid %s"
+            % (phantom.grid, model.grid)
         )
     clean = model.apply(phantom.to_vector())
     m = model.num_time_samples

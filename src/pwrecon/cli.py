@@ -4,8 +4,8 @@ export-png and ingest-picmus, composing through container files.
 Each subcommand reads its input files, calls the library and writes its
 outputs. Which observations a reconstruction mode reads is decided by
 ``solver.observations_needed``; ``pipeline.run_reconstruction`` derives
-those not given. Contrast and resolution are scored by ``pipeline.measure``
-and its contrast helper.
+those not given. Contrast and resolution are scored by ``pipeline.measure``,
+or by ``pipeline.contrast`` on explicit discs.
 
 Each input flag reads the container kind it names.
 
@@ -158,7 +158,7 @@ def _cmd_metrics(args):
         # explicit discs bypass phantom annotations
         roi = disc_mask(cfg.grid, *_parse_disc(args.roi))
         bg = disc_mask(cfg.grid, *_parse_disc(args.background))
-        report = pipeline._contrast(cfg, image, [(roi, bg)], reference)
+        report = pipeline.contrast(cfg, image, [(roi, bg)], reference)
     else:
         if not args.phantom:
             raise ConfigError("metrics needs --phantom or explicit --roi/--background")

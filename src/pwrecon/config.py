@@ -12,10 +12,10 @@ import copy
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
-from .forward_model import ApodizationSpec, suggest_time_window
+from .forward_model import ApodizationSpec
 from .solver import InnerSettings, SolverConfig, mode_fields
 
 __all__ = [
@@ -66,12 +66,13 @@ class RunConfig:
 
     A run images one plane-wave transmit, so ``tx_angles`` holds exactly one
     angle; images of several angles are combined with ``pwrecon compound``.
+    The sample window is not a setting: a solve reads it from its channel
+    data, and a simulation sizes it to the transmit's delays.
     """
 
     probe: ProbeGeometry
     grid: ImagingGrid
     tx_angles: list = field(default_factory=lambda: [0.0])
-    num_samples: int | None = None  # None: sized to the transmit's delays
     apodization: ApodizationSpec = field(default_factory=ApodizationSpec)
     phantom: dict | None = None
     psf: dict = field(default_factory=lambda: {"type": "model"})
@@ -85,18 +86,11 @@ class RunConfig:
                 "config per angle and combine the images with `pwrecon compound`"
                 % len(self.tx_angles)
             )
-        if self.num_samples is None and self.probe.t0_offset:
-            raise ConfigError("key 't0_offset' in probe is read only with num_samples set")
+        if self.probe.t0_offset:
+            raise ConfigError("key 't0_offset' in probe: the sample window is the data's")
 
     def tx(self):
         return PlaneWaveTx(angle=self.tx_angles[0])
-
-    def resolve_time_window(self):
-        """Probe (with start offset) and sample count covering the grid."""
-        if self.num_samples is not None:
-            return self.probe, self.num_samples
-        t0, num = suggest_time_window(self.probe, self.grid, self.tx())
-        return replace(self.probe, t0_offset=t0), num
 
 
 def _position(val, path):

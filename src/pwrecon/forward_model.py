@@ -206,10 +206,7 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     """
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
-    if grid.num_pixels < 1 or probe.num_elements < 1:
-        raise ValueError("grid and probe must be nonempty")
-    expected_dz = probe.sound_speed / (2.0 * probe.sampling_freq)
-    if grid.dz != expected_dz or grid.dx != probe.pitch:
+    if grid != ImagingGrid.for_probe(probe, grid.nz, grid.nx, grid.z_origin):
         raise ValueError("grid spacing must be dz = c/(2 fs) and dx = pitch")
 
     fs = probe.sampling_freq

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .acquisition import disc_mask
 from .beamform import BModeImage
 
 __all__ = [
@@ -35,15 +36,6 @@ _GCNR_BINS = 256
 
 class UnresolvedPeakError(ValueError):
     """Profile never falls below half maximum inside the search window."""
-
-
-def disc_mask(grid, center, radius):
-    """Boolean mask of pixels within ``radius`` meters of center (z, x)."""
-    if not 0 <= radius < np.inf:
-        raise ValueError("disc radius must be finite and nonnegative, got %r" % radius)
-    cz, cx = center
-    dist2 = (grid.z_positions[:, None] - cz) ** 2 + (grid.x_positions[None, :] - cx) ** 2
-    return dist2 <= radius**2
 
 
 def annulus_mask(grid, center, inner_radius, outer_radius):

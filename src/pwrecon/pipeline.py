@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .acquisition import (
@@ -14,7 +16,7 @@ from .acquisition import (
 )
 from .beamform import das_beamform, envelope, log_compress
 from .config import ConfigError
-from .forward_model import cached_system_matrix
+from .forward_model import cached_system_matrix, suggest_time_window
 from .metrics import (
     MetricsReport,
     annulus_mask,
@@ -36,6 +38,7 @@ __all__ = [
     "resolve_psf",
     "run_reconstruction",
     "measure",
+    "contrast",
 ]
 
 # -6 dB fractional bandwidth of the parametric pulse's axial profile
@@ -46,12 +49,15 @@ _ROI_RATIO = 0.7
 _BACKGROUND_INNER_RATIO = 1.2
 
 
-def build_model(cfg):
-    """System matrix of a run config's transmit (disk-cached)."""
-    probe, num_samples = cfg.resolve_time_window()
-    return cached_system_matrix(
-        probe, cfg.grid, cfg.tx(), num_samples, cfg.apodization
-    )
+def build_model(cfg, ch=None):
+    """System matrix of a run config's transmit (disk-cached) over the sample
+    window of channel data ``ch``, or else one covering every grid delay."""
+    if ch is None:
+        t0, num = suggest_time_window(cfg.probe, cfg.grid, cfg.tx())
+    else:
+        t0, num = ch.probe.t0_offset, ch.num_samples
+    probe = replace(cfg.probe, t0_offset=t0)
+    return cached_system_matrix(probe, cfg.grid, cfg.tx(), num, cfg.apodization)
 
 
 def _half_width_within(half, n):
@@ -167,17 +173,16 @@ def psf_from_model(model, pre_blur=None):
 
 
 def resolve_psf(cfg, model=None):
-    """Kernel selected by the run config: empirical or parametric. A PSF
-    container is given to ``run_reconstruction`` (``solve --psf``) instead."""
+    """Kernel selected by the run config: parametric, or empirical through
+    ``model`` (built from ``cfg`` if None). A PSF container is given to
+    ``run_reconstruction`` (``solve --psf``) instead."""
     spec = cfg.psf
     kind = spec.get("type", "model")
-    if kind == "model":
-        if model is None:
-            raise ConfigError("psf type 'model' needs a system matrix")
-        return psf_from_model(model, pre_blur=_blur_kernel(cfg))
     if kind == "parametric":
         return _parametric_psf(cfg, spec["lateral_sigma"])
-    raise ConfigError("unknown psf type %r" % kind)
+    if kind != "model":
+        raise ConfigError("unknown psf type %r" % kind)
+    return psf_from_model(model or build_model(cfg), pre_blur=_blur_kernel(cfg))
 
 
 def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
@@ -186,23 +191,21 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
     ``solver.observations_needed`` names what the mode reads: ``ch`` for
     the channel term, and a PSF and ``y_das`` for the blur term, ``y_das``
     computed by delay-and-sum from ``ch`` on ``cfg``'s grid when not given.
-    With ``model`` None the system matrix is built from ``cfg`` only for the
-    channel term or a ``"model"`` PSF.
+    With ``model`` None the system matrix is built from ``cfg`` over the
+    window of ``ch`` for the channel term (``resolve_psf`` builds its own).
     """
     scfg = cfg.solver
     needs = observations_needed(scfg)
     needs_das = y_das is None and needs["das"]
-    needs_psf = psf is None and needs["psf"]
     if ch is None and needs["channel"]:
         raise ConfigError("mode %r needs --channel data" % scfg.mode)
     if ch is None and needs_das:
         raise ConfigError("mode %r needs --das or channel data" % scfg.mode)
-    model_psf = needs_psf and cfg.psf.get("type", "model") == "model"
-    if model is None and (needs["channel"] or model_psf):
-        model = build_model(cfg)
+    if model is None and needs["channel"]:
+        model = build_model(cfg, ch)
     if needs_das:
         y_das = das_beamform(ch, cfg.grid, cfg.apodization)
-    if needs_psf:
+    if psf is None and needs["psf"]:
         psf = resolve_psf(cfg, model=model)
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)
 
@@ -242,10 +245,10 @@ def measure(cfg, phantom, image, reference=None, kind=None):
             disc_mask(cfg.grid, center, roi_r),
             annulus_mask(cfg.grid, center, bg_inner, bg_outer),
         ))
-    return _contrast(cfg, image, regions, reference)
+    return contrast(cfg, image, regions, reference)
 
 
-def _contrast(cfg, image, regions, reference):
+def contrast(cfg, image, regions, reference):
     """MetricsReport of CNR and gCNR for each (roi, background) mask pair.
 
     Both are measured on the log-compressed image, histogram-matched on the

@@ -111,7 +111,7 @@ def deconv_update(y_das, psf, w, z, lam1, lam2, gamma_d, beta):
     With gamma_d = 0 the blur drops out and the average of the two proximal
     targets is returned in closed form.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     y_das = np.asarray(y_das, dtype=np.float64)
     for name, arr in (("w", w), ("z", z), ("lam1", lam1), ("lam2", lam2)):

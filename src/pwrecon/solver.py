@@ -191,7 +191,8 @@ class SolverState:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: final image plus convergence diagnostics."""
+    """Outcome of one solve: final image plus convergence diagnostics. A
+    sequential solve's ``iterations`` is the sum over its ``stages``."""
 
     result: RfImage
     converged: bool
@@ -203,10 +204,19 @@ class SolveReport:
     stages: list = field(default_factory=list)
 
     def to_json_dict(self):
+        """The report as JSON values. A sequential report's top level has only
+        the fields true of the whole solve, beside its stages' reports."""
         d = {
             "converged": self.converged,
             "iterations": self.iterations,
             "mode": self.config.mode,
+            "timing": {"wall_time_s": self.wall_time},
+        }
+        if self.stages:
+            return {**d, "stages": [s.to_json_dict() for s in self.stages]}
+        d["timing"].update(("%s_step_s" % k, v) for k, v in self.state.step_seconds.items())
+        return {
+            **d,
             "hyperparameters": {
                 "gamma_d": self.config.gamma_d,
                 "gamma_b": self.config.gamma_b,
@@ -224,14 +234,7 @@ class SolveReport:
             "adjoint_products": self.state.adjoint_products,
             "basis_columns": self.state.basis_columns,
             "scale": self.scale,
-            "timing": {
-                "wall_time_s": self.wall_time,
-                **{"%s_step_s" % k: v for k, v in self.state.step_seconds.items()},
-            },
         }
-        if self.stages:
-            d["stages"] = [s.to_json_dict() for s in self.stages]
-        return d
 
 
 def objective(x, y_das, psf, model, y_ch, cfg):
@@ -398,7 +401,7 @@ def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, *, equations=Non
 
     Returns (z, gradient_norms).
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     if gamma_b == 0.0:
         return u + lam2 / beta, [0.0]
@@ -409,7 +412,7 @@ def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, *, equations=Non
 
 def sparsity_update(u, lam1, mu, beta):
     """Soft-thresholding step: shrink u + lam1/beta toward zero by mu/beta."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     v = u + lam1 / beta
     return np.maximum(np.abs(v) - mu / beta, 0.0) * np.sign(v)
@@ -608,7 +611,7 @@ def _solve_sequential(cfg, model, y_ch, psf, x0, t_start):
     return SolveReport(
         result=report2.result,
         converged=report1.converged and report2.converged,
-        iterations=report2.iterations,
+        iterations=report1.iterations + report2.iterations,
         wall_time=time.perf_counter() - t_start,
         config=cfg,
         state=report2.state,

@@ -166,6 +166,18 @@ class TestSimulateChannelData:
         with pytest.raises(ValueError):
             simulate_channel_data(ph, tiny_instance["model"], None, 0)
 
+    @pytest.mark.parametrize("nz, nx, z_origin", [(32, 8, 2.0e-3), (16, 16, 3.0e-3)])
+    def test_grid_of_as_many_pixels_rejected(self, tiny_instance, tiny_probe, nz, nx, z_origin):
+        # a reshaped or shifted grid of the model's pixel count is still
+        # another grid: the matrix would read the phantom's pixels as its own
+        from pwrecon import Phantom
+
+        grid = ImagingGrid.for_probe(tiny_probe, nz=nz, nx=nx, z_origin=z_origin)
+        assert grid.num_pixels == tiny_instance["model"].num_cols
+        ph = Phantom(trf=np.ones(grid.shape), grid=grid)
+        with pytest.raises(ValueError, match="phantom grid .* differs from the system matrix"):
+            simulate_channel_data(ph, tiny_instance["model"], None, 0)
+
     def test_noiseless_linearity(self, tiny_instance, tiny_grid, rng):
         from pwrecon import Phantom
 

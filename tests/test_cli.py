@@ -108,6 +108,8 @@ class TestPipelineComposition:
             "--das", str(das), "--out", str(result), "--report", str(report),
         ]) == 0
         rep = json.loads(report.read_text())
+        # the solve's window is the channel data's, so it reads simulate's entry
+        assert list(cache.glob("sysmat_*.usjd")) == [mat]
         assert rep["mode"] == "joint"
         assert rep["iterations"] >= 1
         assert len(rep["dual_residuals"]) == rep["iterations"]
@@ -785,6 +787,57 @@ class TestRunReconstructionBuildsMatrixOnDemand:
         given = pipeline.run_reconstruction(cfg, model, None, y_das=y_das)
         assert len(calls) == 1
         assert np.array_equal(report.result.data, given.result.data)
+
+
+class TestWindowFromChannelData:
+    """A solve builds its system matrix over the sample window of the
+    channel data it reads, not over one the config derives."""
+
+    def test_solve_reads_a_window_longer_than_the_derived_one(
+        self, small_config, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("PWRECON_CACHE_DIR", str(cache))
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
+        data = read_container(str(ch), "channel")
+        longer = tmp_path / "longer.usjd"
+        padding = np.zeros((20, data.probe.num_elements))
+        write_container(replace(data, samples=np.vstack([data.samples, padding])), str(longer))
+        images = []
+        for name in (ch, longer):
+            out = tmp_path / ("rec_" + name.name)
+            assert main([
+                "solve", "--config", str(small_config), "--channel", str(name),
+                "--out", str(out),
+            ]) == 0
+            images.append(read_container(str(out), "rfimage").data)
+        rows = sorted(load_matrix(p).num_time_samples for p in cache.glob("sysmat_*.usjd"))
+        assert rows == [data.num_samples, data.num_samples + 20]
+        # the trailing samples lie past every delay: no pixel reads them (the
+        # images are stored as float32)
+        np.testing.assert_allclose(images[1], images[0], rtol=0, atol=1e-6 * abs(images[0]).max())
+
+
+class TestSequentialReport:
+    def test_top_level_holds_only_whole_solve_fields(self, small_config, tmp_path, capsys):
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(small_config), "--out", str(ch)]) == 0
+        report = tmp_path / "report.json"
+        assert main([
+            "solve", "--config", str(small_config), "--channel", str(ch),
+            "--mode", "sequential", "--out", str(tmp_path / "seq.usjd"),
+            "--report", str(report),
+        ]) == 0
+        rep = json.loads(report.read_text())
+        assert sorted(rep) == ["converged", "iterations", "mode", "stages", "timing"]
+        assert list(rep["timing"]) == ["wall_time_s"]
+        stage1, stage2 = rep["stages"]
+        assert (stage1["mode"], stage2["mode"]) == ("beamform_only", "deconv_only")
+        assert rep["iterations"] == stage1["iterations"] + stage2["iterations"]
+        assert rep["converged"] == (stage1["converged"] and stage2["converged"])
+        assert stage1["forward_products"] > 0 and stage2["forward_products"] == 0
+        assert "iterations=%d " % rep["iterations"] in capsys.readouterr().out
 
 
 def _readme_cli_commands():

@@ -17,8 +17,11 @@ from pwrecon import (
     ProbeGeometry,
     RunConfig,
     SolverConfig,
+    beamform_update,
+    deconv_update,
     make_cyst_phantom,
     make_parametric_psf,
+    sparsity_update,
 )
 from pwrecon import pipeline
 from pwrecon.cli import main
@@ -63,8 +66,10 @@ BAD_DOCS = {
     "point_of_three": (lambda d: d["phantom"].update(points=[[8e-3, 0.0, 1]]), "points"),
     "center_of_strings": (lambda d: d.update(phantom=_cyst(["a", 0])), "center"),
     "center_of_one": (lambda d: d.update(phantom=_cyst([8.2e-3])), "center"),
-    # a null num_samples derives the window's start, so an offset would be lost
+    # the sample window is the channel data's, or else covers the delays,
+    # so neither its start nor its length is a setting
     "t0_offset_without_num_samples": (lambda d: d["probe"].update(t0_offset=5e-6), "t0_offset"),
+    "num_samples": (lambda d: d.update(num_samples=400), "num_samples"),
     # a blur block names its sigma: null, not {}, is no blur
     "blur_without_lateral_sigma": (lambda d: d["phantom"].update(blur={}), "lateral_sigma"),
     "parametric_psf_without_lateral_sigma": (
@@ -224,14 +229,6 @@ def test_parametric_psf_needs_its_sigma():
     assert str(err.value) == "missing key 'lateral_sigma' in psf"
 
 
-def test_t0_offset_is_read_with_num_samples():
-    doc = get_builtin_config("desk_point")
-    doc["probe"]["t0_offset"] = 5e-6
-    doc["num_samples"] = 400
-    probe, num_samples = run_config_from_dict(doc).resolve_time_window()
-    assert (probe.t0_offset, num_samples) == (5e-6, 400)
-
-
 def test_readme_schema_block_is_read():
     """README's jsonc schema block, its // comments stripped, is a config the
     reader accepts, so a key the reader drops cannot linger there."""
@@ -259,6 +256,13 @@ NAN_GUARDS = [
                              seed=0), "radius"),
     (make_parametric_psf, dict(f0=5.208e6, fs=20.832e6, axial_fbw=0.67, lateral_sigma=1.0),
      "lateral_sigma"),
+] + [
+    # the ADMM updates, each at a zero weight so that no operator is read
+    (beamform_update, dict(model=None, y_ch=None, u=np.zeros(2), lam2=np.zeros(2),
+                           gamma_b=0.0, beta=1.0, inner=InnerSettings()), "beta"),
+    (sparsity_update, dict(u=np.zeros(2), lam1=np.zeros(2), mu=0.1, beta=1.0), "beta"),
+    (deconv_update, dict(y_das=np.zeros(2), psf=None, w=np.zeros(2), z=np.zeros(2),
+                         lam1=np.zeros(2), lam2=np.zeros(2), gamma_d=0.0, beta=1.0), "beta"),
 ]
 
 

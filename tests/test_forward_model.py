@@ -357,10 +357,16 @@ def _steered_configs():
             yield run_config_from_dict(doc)
 
 
+def _derived_window(cfg):
+    """The probe with the window start a simulation derives, and its length."""
+    t0, num = suggest_time_window(cfg.probe, cfg.grid, cfg.tx())
+    return replace(cfg.probe, t0_offset=t0), num
+
+
 class TestSteeredTimeWindow:
     def test_window_covers_every_angle(self):
         for cfg in _steered_configs():
-            probe, num = cfg.resolve_time_window()
+            probe, num = _derived_window(cfg)
             model = build_model(cfg)
             assert model.probe == probe and model.num_time_samples == num
             # every pixel reaches some element within the window
@@ -368,7 +374,7 @@ class TestSteeredTimeWindow:
 
     def test_window_holds_every_pixel_element_delay(self):
         for cfg in _steered_configs():
-            probe, num = cfg.resolve_time_window()
+            probe, num = _derived_window(cfg)
             z = np.repeat(cfg.grid.z_positions, cfg.grid.nx)
             x = np.tile(cfg.grid.x_positions, cfg.grid.nz)
             tau = propagation_delay(
@@ -415,7 +421,7 @@ class TestCsrAssembly:
         # the entries are written into the CSR arrays as they grow; the
         # traced peak measures 1.28-1.30x the CSR on desk_point
         cfg = run_config_from_dict(get_builtin_config("desk_point"))
-        probe, num = cfg.resolve_time_window()
+        probe, num = _derived_window(cfg)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
