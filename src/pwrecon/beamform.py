@@ -7,7 +7,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .forward_model import element_geometry
 
@@ -71,16 +70,24 @@ def das_beamform(ch, grid, apod):
     fs = probe.sampling_freq
     t0 = probe.t0_offset
     m_count = ch.num_samples
+    traces = np.ascontiguousarray(ch.samples.T)  # one contiguous row per element
     acc = np.zeros(grid.num_pixels)
-    for n, (tau, w) in enumerate(element_geometry(probe, grid, ch.tx, apod)):
+    # a pixel outside an element's aperture would add w * value = +-0, which
+    # leaves every sum as it is; the kept terms add in element order
+    geometry = element_geometry(probe, grid, ch.tx, apod, aperture_only=True)
+    for n, (pixels, tau, w) in enumerate(geometry):
         s = (tau - t0) * fs
         valid = (s >= 0.0) & (s <= m_count - 1)
-        i0 = np.clip(np.floor(s).astype(np.int64), 0, m_count - 1)
-        i1 = np.clip(i0 + 1, 0, m_count - 1)
-        frac = s - i0
-        trace = ch.samples[:, n]
-        vals = (1.0 - frac) * trace[i0] + frac * trace[i1]
-        acc += np.where(valid, w * vals, 0.0)
+        base = np.floor(s)
+        frac = s - base
+        # a delay outside the window reads clipped indices; its value is
+        # dropped below
+        i0 = base.astype(np.int64)
+        trace = traces[n]
+        vals = (1.0 - frac) * trace.take(i0, mode="clip") + frac * trace.take(
+            i0 + 1, mode="clip"
+        )
+        acc[pixels] += np.where(valid, w * vals, 0.0)
     # pixels come in column order; images are stored C-contiguous
     return RfImage(np.ascontiguousarray(acc.reshape(grid.shape, order="F")), grid)
 
@@ -106,13 +113,13 @@ def envelope(img):
     nz = img.grid.nz
     if nz < 4:
         raise ValueError("envelope needs at least 4 axial samples")
-    # scipy.signal.hilbert's arithmetic, without importing scipy.signal:
-    # double the positive frequencies, zero the negative ones and keep DC
-    # (and Nyquist for even nz)
-    spectrum = scipy.fft.fft(img.data, axis=0)
+    # scipy.signal.hilbert's arithmetic, without importing scipy: the
+    # positive frequencies of the real transform doubled, the negative ones
+    # zero, DC (and Nyquist for even nz) kept
+    spectrum = np.zeros(img.data.shape, dtype=np.complex128)
+    spectrum[: nz // 2 + 1] = np.fft.rfft(img.data, axis=0)
     spectrum[1 : (nz + 1) // 2] *= 2.0
-    spectrum[nz // 2 + 1 :] = 0.0
-    return RfImage(data=np.abs(scipy.fft.ifft(spectrum, axis=0)), grid=img.grid)
+    return RfImage(data=np.abs(np.fft.ifft(spectrum, axis=0)), grid=img.grid)
 
 
 def log_compress(env, dynamic_range=60.0):

@@ -22,7 +22,7 @@ import sys
 
 from . import pipeline
 from .acquisition import TARGET_KINDS
-from .beamform import compound, das_beamform, envelope, export_png, log_compress
+from .beamform import compound, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config
 from .io import ContainerError, ingest_picmus, read_container, write_container
 from .metrics import disc_mask
@@ -112,8 +112,7 @@ def _cmd_simulate(args):
 def _cmd_das(args):
     cfg = load_run_config(args.config)
     ch = read_container(args.channel, "channel")
-    img = das_beamform(ch, cfg.grid, cfg.apodization)
-    write_container(img, args.out)
+    write_container(pipeline.config_das(cfg, ch), args.out)
     return EXIT_OK
 
 

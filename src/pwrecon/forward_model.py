@@ -61,6 +61,18 @@ class ApodizationSpec:
             raise ValueError("tukey taper must lie in [0, 1]")
 
 
+def _transmit_leg(pixel, tx, sound_speed):
+    """Plane-wave transmit delay (z cos(angle) + x sin(angle)) / c of a pixel."""
+    z, x = pixel
+    return (z * np.cos(tx.angle) + x * np.sin(tx.angle)) / sound_speed
+
+
+def _receive_leg(z_squared, offset, sound_speed):
+    """Return delay from a pixel at squared depth ``z_squared`` to an element
+    at lateral ``offset`` from it: their euclidean distance over c."""
+    return np.sqrt(z_squared + offset**2) / sound_speed
+
+
 def propagation_delay(pixel, element_x, tx, sound_speed):
     """Two-way delay for a pixel: plane-wave transmit plus return to element.
 
@@ -69,9 +81,9 @@ def propagation_delay(pixel, element_x, tx, sound_speed):
     arrays for the pixel coordinates.
     """
     z, x = pixel
-    tau_t = (z * np.cos(tx.angle) + x * np.sin(tx.angle)) / sound_speed
-    tau_r = np.sqrt(z**2 + (x - element_x) ** 2) / sound_speed
-    return tau_t + tau_r
+    return _transmit_leg(pixel, tx, sound_speed) + _receive_leg(
+        z**2, x - element_x, sound_speed
+    )
 
 
 def _window_value(d, spec):
@@ -88,6 +100,22 @@ def _window_value(d, spec):
     return val
 
 
+def _within_aperture(positive, offset, half):
+    """Lateral ``offset`` in aperture half-widths ``half``, and the mask of
+    pixels within the aperture: of ``positive`` depth and offset at most 1."""
+    # a denormal aperture overflows the offset to inf, which is outside it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = np.abs(offset) / half
+    return d, positive & (d <= 1.0)
+
+
+def _weight(d, inside, spec):
+    """Window amplitude at offsets ``d`` where ``inside``, zero elsewhere."""
+    w = np.zeros(inside.shape)
+    w[inside] = _window_value(d[inside], spec)
+    return w
+
+
 def apodization_weight(pixel, element_x, spec):
     """Receive apodization weight in [0, 1] for a pixel-element pair.
 
@@ -97,31 +125,56 @@ def apodization_weight(pixel, element_x, spec):
     z, x = pixel
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    half = z / (2.0 * spec.f_number)
-    # a denormal aperture overflows the offset to inf, which is outside it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = np.abs(x - element_x) / half
-    inside = (z > 0) & (d <= 1.0)
-    w = np.zeros(inside.shape)
-    w[inside] = _window_value(d[inside], spec)
+    w = _weight(*_within_aperture(z > 0, x - element_x, z / (2.0 * spec.f_number)), spec)
     if w.ndim == 0:
         return float(w)
     return w
 
 
-def element_geometry(probe, grid, tx, apod):
-    """Round-trip delay and receive apodization of every pixel, per element.
+def element_geometry(probe, grid, tx, apod, aperture_only=False):
+    """Round-trip delay and receive apodization of pixels, per element.
 
-    Yields one ``(tau, weight)`` pair of pixel arrays per receive element, in
-    element order, with pixels in system-matrix column order. This is the
-    geometry both the system matrix and delay-and-sum are built from.
+    Yields one ``(pixels, tau, weight)`` triple per receive element, in
+    element order: the system-matrix columns of the pixels, ascending, and
+    their ``propagation_delay`` and ``apodization_weight``. This is the
+    geometry both the system matrix and delay-and-sum are built from. Every
+    pixel is yielded, unless ``aperture_only``: then only those within the
+    element's aperture (z > 0 and an offset of at most one half-width),
+    outside which every weight is zero.
     """
-    pixel = (np.tile(grid.z_positions, grid.nx), np.repeat(grid.x_positions, grid.nz))
-    for elem_x in probe.element_positions:
-        yield (
-            propagation_delay(pixel, elem_x, tx, probe.sound_speed),
-            apodization_weight(pixel, elem_x, apod),
-        )
+    nz = grid.nz
+    z = np.tile(grid.z_positions, grid.nx)
+    x = np.repeat(grid.x_positions, nz)
+    c = probe.sound_speed
+    # the terms no element changes
+    tau_t = _transmit_leg((z, x), tx, c)
+    z_squared = z**2
+    positive = z > 0
+    half = z / (2.0 * apod.f_number)
+    elements = probe.element_positions
+    spans = [slice(None)] * len(elements)
+    if aperture_only:
+        # the aperture widens with depth, so the grid columns within it at
+        # the deepest row, an interval, hold every pixel within it
+        _, within = _within_aperture(True, grid.x_positions - elements[:, None], half[-1])
+        first, count = within.argmax(axis=1), within.sum(axis=1)
+        spans = [slice(a * nz, (a + k) * nz) for a, k in zip(first, count)]
+    columns = np.arange(grid.num_pixels, dtype=np.int32)
+    for elem_x, span in zip(elements, spans):
+        offset = x[span] - elem_x
+        d, inside = _within_aperture(positive[span], offset, half[span])
+        if aperture_only:
+            keep = np.flatnonzero(inside)
+            pixels = keep + span.start
+            yield (
+                pixels,
+                tau_t[pixels] + _receive_leg(z_squared[pixels], offset[keep], c),
+                _window_value(d[keep], apod),
+            )
+        else:
+            # the system matrix takes every pixel: its t_max counts
+            # zero-weight contributors
+            yield columns, tau_t + _receive_leg(z_squared, offset, c), _weight(d, inside, apod)
 
 
 @dataclass
@@ -214,7 +267,6 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     gate = 1.0 / fs
     m_count = num_samples
     num_elements = probe.num_elements
-    pix_idx = np.arange(grid.num_pixels, dtype=np.int32)
 
     # element n owns rows n*M .. (n+1)*M - 1, so each element's entries,
     # ordered by (sample, column), are one contiguous stretch of the CSR
@@ -225,7 +277,7 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     indices = np.empty(0, dtype=np.int32)
     data = np.empty(0)
     nnz = 0
-    for n, (tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
+    for n, (columns, tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
         base = np.floor((tau - t0) * fs).astype(np.int64)
         samp_list = []
         col_list = []
@@ -238,7 +290,7 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
             dt = np.abs(i / fs + t0 - tau[px])
             ok = (dt <= gate) & (i >= 0) & (i < m_count)
             samp_list.append(i[ok])
-            col_list.append(pix_idx[px][ok])
+            col_list.append(columns[px][ok])
             dt_list.append(dt[ok])
             return dt
 

@@ -27,13 +27,14 @@ from .metrics import (
     histogram_match,
 )
 from .psf import Psf, conv_apply, make_parametric_psf
-from .solver import observations_needed, solve
+from .solver import check_channel_probe, observations_needed, solve
 
 __all__ = [
     "build_model",
     "make_phantom",
     "simulate",
     "reference_das",
+    "config_das",
     "psf_from_model",
     "resolve_psf",
     "run_reconstruction",
@@ -136,6 +137,13 @@ def reference_das(model, ch):
     return das_beamform(ch, model.grid, model.apodization)
 
 
+def config_das(cfg, ch):
+    """Delay-and-sum image of channel data ``ch`` on the run config's grid
+    with its apodization; data recorded with another probe are refused."""
+    check_channel_probe(ch, cfg.probe, "the run config")
+    return das_beamform(ch, cfg.grid, cfg.apodization)
+
+
 def psf_from_model(model, pre_blur=None):
     """Empirical system kernel: the beamformed image of a centered impulse.
 
@@ -190,7 +198,7 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
 
     ``solver.observations_needed`` names what the mode reads: ``ch`` for
     the channel term, and a PSF and ``y_das`` for the blur term, ``y_das``
-    computed by delay-and-sum from ``ch`` on ``cfg``'s grid when not given.
+    computed by ``config_das`` from ``ch`` when not given.
     With ``model`` None the system matrix is built from ``cfg`` over the
     window of ``ch`` for the channel term (``resolve_psf`` builds its own).
     """
@@ -204,7 +212,7 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
     if model is None and needs["channel"]:
         model = build_model(cfg, ch)
     if needs_das:
-        y_das = das_beamform(ch, cfg.grid, cfg.apodization)
+        y_das = config_das(cfg, ch)
     if psf is None and needs["psf"]:
         psf = resolve_psf(cfg, model=model)
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)

@@ -44,6 +44,7 @@ __all__ = [
     "solve",
     "mode_fields",
     "observations_needed",
+    "check_channel_probe",
 ]
 
 MODES = ("joint", "beamform_only", "deconv_only", "sequential")
@@ -425,24 +426,34 @@ def multiplier_update(state, beta):
     return state
 
 
+def check_channel_probe(ch, probe, against, *pairs):
+    """Refuse channel data ``ch`` recorded with another probe than ``probe``
+    (center_freq only labels, and the sample window is the data's) or that
+    differ in a further ``(name, data value, expected value)`` pair; the
+    ValueError names each field that differs and ``against``."""
+    names = ("num_elements", "pitch", "sound_speed", "sampling_freq")
+    pairs += tuple((f, getattr(ch.probe, f), getattr(probe, f)) for f in names)
+    diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
+    if diffs:
+        raise ValueError("channel data differ from %s in %s" % (against, "; ".join(diffs)))
+
+
 class _ChannelTerm:
     """One solve's channel-data term: the shared system matrix, the channel
     data ``y`` as the solve normalized them, and the products made through
     the matrix, counted here so that the shared matrix keeps no per-solve
-    state. Channel data must share the transmit, the sample count and the
-    probe fields of the matrix's weights (center_freq only labels)."""
+    state. Channel data must share the probe, the transmit and the sample
+    window of the matrix's weights."""
 
     def __init__(self, model, ch, scale):
-        names = ("num_elements", "pitch", "sound_speed", "sampling_freq", "t0_offset")
-        pairs = [
+        check_channel_probe(
+            ch,
+            model.probe,
+            "the system matrix",
             ("tx", ch.tx, model.tx),
             ("num_samples", ch.num_samples, model.num_time_samples),
-        ] + [(f, getattr(ch.probe, f), getattr(model.probe, f)) for f in names]
-        diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
-        if diffs:
-            raise ValueError(
-                "channel data differ from the system matrix in %s" % "; ".join(diffs)
-            )
+            ("t0_offset", ch.probe.t0_offset, model.probe.t0_offset),
+        )
         self.model, self.matrix = model, model.matrix
         self.y = ch.to_vector() / scale
         self.forward = self.adjoint = 0

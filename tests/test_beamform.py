@@ -1,13 +1,21 @@
 """Delay-and-sum, compounding, envelope detection, and log compression."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwrecon import (
     ApodizationSpec,
     ChannelData,
+    ImagingGrid,
     Phantom,
+    PlaneWaveTx,
+    ProbeGeometry,
     RfImage,
+    apodization_weight,
     compound,
     das_beamform,
     envelope,
@@ -15,7 +23,9 @@ from pwrecon import (
     make_point_phantom,
     propagation_delay,
     simulate_channel_data,
+    suggest_time_window,
 )
+from pwrecon.forward_model import WINDOWS, element_geometry
 
 
 class TestDasBeamform:
@@ -80,6 +90,104 @@ class TestDasBeamform:
         np.testing.assert_allclose(
             das(a * y1 + b * y2), a * das(y1) + b * das(y2), rtol=1e-10, atol=1e-12
         )
+
+
+def _all_pixel_das(ch, grid, apod):
+    """Delay-and-sum over every (pixel, element) pair, element by element:
+    the oracle the aperture-only sum must equal byte for byte."""
+    probe = ch.probe
+    fs, t0, m_count = probe.sampling_freq, probe.t0_offset, ch.num_samples
+    pixel = (np.tile(grid.z_positions, grid.nx), np.repeat(grid.x_positions, grid.nz))
+    acc = np.zeros(grid.num_pixels)
+    for n, elem_x in enumerate(probe.element_positions):
+        tau = propagation_delay(pixel, elem_x, ch.tx, probe.sound_speed)
+        w = apodization_weight(pixel, elem_x, apod)
+        s = (tau - t0) * fs
+        valid = (s >= 0.0) & (s <= m_count - 1)
+        i0 = np.clip(np.floor(s).astype(np.int64), 0, m_count - 1)
+        i1 = np.clip(i0 + 1, 0, m_count - 1)
+        frac = s - i0
+        trace = ch.samples[:, n]
+        vals = (1.0 - frac) * trace[i0] + frac * trace[i1]
+        acc += np.where(valid, w * vals, 0.0)
+    return acc.reshape(grid.shape, order="F")
+
+
+def _das_case(num_elements, nz, nx, z_origin, angle, late=0, length=None, seed=0):
+    """Random channel data over a window opened ``late`` samples after the
+    one that holds every delay, ``length`` samples long (all of it if None),
+    and the grid to beamform them on."""
+    probe = ProbeGeometry(
+        num_elements=num_elements,
+        pitch=0.3e-3,
+        sound_speed=1540.0,
+        sampling_freq=20.832e6,
+        center_freq=5.208e6,
+    )
+    grid = ImagingGrid.for_probe(probe, nz=nz, nx=nx, z_origin=z_origin)
+    tx = PlaneWaveTx(angle=angle)
+    t0, num = suggest_time_window(probe, grid, tx)
+    probe = replace(probe, t0_offset=t0 + late / probe.sampling_freq)
+    samples = np.random.default_rng(seed).standard_normal((length or num, num_elements))
+    return ChannelData(samples=samples, tx=tx, probe=probe), grid
+
+
+def _assert_equals_the_oracle(ch, grid, apod):
+    image = das_beamform(ch, grid, apod).data
+    assert image.tobytes() == _all_pixel_das(ch, grid, apod).tobytes()
+
+
+class TestDasAgainstTheAllPixelOracle:
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("angle", [-0.3, 0.0, 0.25])
+    def test_steered_transmits_and_every_window(self, angle, window):
+        ch, grid = _das_case(16, 24, 16, 2.0e-3, angle)
+        _assert_equals_the_oracle(ch, grid, ApodizationSpec(window=window, f_number=0.7))
+
+    def test_end_elements_whose_aperture_holds_no_column(self):
+        ch, grid = _das_case(32, 8, 4, 1.0e-3, 0.1)
+        apod = ApodizationSpec(window="tukey", f_number=3.0)
+        geometry = element_geometry(ch.probe, grid, ch.tx, apod, aperture_only=True)
+        assert sum(pixels.size == 0 for pixels, _, _ in geometry) >= 2
+        _assert_equals_the_oracle(ch, grid, apod)
+
+    def test_rows_at_and_above_the_surface(self):
+        ch, grid = _das_case(12, 10, 12, -4 * 1540.0 / (2 * 20.832e6), -0.2)
+        assert np.count_nonzero(grid.z_positions <= 0.0) == 5
+        _assert_equals_the_oracle(ch, grid, ApodizationSpec(window="hanning"))
+
+    def test_window_that_clips_delays(self):
+        ch, grid = _das_case(16, 24, 16, 2.0e-3, 0.15, late=20, length=30)
+        full, _ = _das_case(16, 24, 16, 2.0e-3, 0.15)
+        assert full.num_samples > 20 + 30  # delays lie on both sides of the window
+        _assert_equals_the_oracle(ch, grid, ApodizationSpec(window="hanning"))
+
+    def test_odd_axes(self):
+        ch, grid = _das_case(9, 17, 9, 1.5e-3, 0.05)
+        _assert_equals_the_oracle(ch, grid, ApodizationSpec(window="rectangular", f_number=1.3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_elements=st.integers(2, 12),
+        nz=st.integers(1, 12),
+        nx=st.integers(1, 14),
+        z_origin=st.floats(-1.0e-3, 6.0e-3),
+        angle=st.floats(-0.4, 0.4),
+        late=st.integers(-5, 30),
+        length=st.one_of(st.none(), st.integers(1, 40)),
+        apod=st.builds(
+            ApodizationSpec,
+            window=st.sampled_from(WINDOWS),
+            f_number=st.floats(0.25, 4.0),
+            taper=st.floats(0.0, 1.0),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_geometries(
+        self, num_elements, nz, nx, z_origin, angle, late, length, apod, seed
+    ):
+        ch, grid = _das_case(num_elements, nz, nx, z_origin, angle, late, length, seed)
+        _assert_equals_the_oracle(ch, grid, apod)
 
 
 class TestCompound:

@@ -11,6 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DESK_POINT = {
+    "desk_point das": {"sha1": "6b1f77657eca"},
     "desk_point joint": {
         "iterations": [28], "products": 618, "inner_capped": 0, "basis_columns": 24,
         "sha1": "2ce155f5753d",

@@ -27,17 +27,20 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    """scipy.signal is about half of the CLI's start-up memory; nothing
-    pwrecon runs needs it."""
+    """scipy.signal is about half of the CLI's start-up memory and scipy.fft
+    another 7 MB; nothing pwrecon runs needs either."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
-    code = "import sys, pwrecon.cli; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, pwrecon.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture()
@@ -683,6 +686,27 @@ class TestChannelGeometryMismatch:
         ]) == 4
         err = capsys.readouterr().err
         assert "in tx PlaneWaveTx(angle=0.3) vs PlaneWaveTx(angle=-0.3)" in err
+
+    @pytest.mark.parametrize(
+        "command", [["das"], ["solve", "--mode", "deconv_only"]], ids=["das", "deconv_only"]
+    )
+    def test_delay_and_sum_of_another_probe_exits_4(
+        self, small_config, tmp_path, capsys, command
+    ):
+        doc = json.loads(small_config.read_text())
+        doc["probe"]["pitch"] = 0.2e-3
+        other = tmp_path / "other_probe.json"
+        other.write_text(json.dumps(doc))
+        ch = tmp_path / "channel.usjd"
+        assert main(["simulate", "--config", str(other), "--out", str(ch)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o.usjd"
+        assert main(command + [
+            "--config", str(small_config), "--channel", str(ch), "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "channel data differ from the run config in pitch 0.0002 vs 0.0003" in err
+        assert not out.exists()
 
 
 class TestNonFiniteChannelData:

@@ -396,15 +396,23 @@ class TestElementGeometry:
         probe, grid, tx = inst["probe"], inst["grid"], PlaneWaveTx(angle=0.2)
         zz, xx = np.meshgrid(grid.z_positions, grid.x_positions, indexing="ij")
         pixel = (zz.reshape(-1, order="F"), xx.reshape(-1, order="F"))
-        pairs = list(element_geometry(probe, grid, tx, inst["apod"]))
-        assert len(pairs) == probe.num_elements
-        for elem_x, (tau, weight) in zip(probe.element_positions, pairs):
+        every = list(element_geometry(probe, grid, tx, inst["apod"]))
+        aperture = list(element_geometry(probe, grid, tx, inst["apod"], aperture_only=True))
+        assert len(every) == len(aperture) == probe.num_elements
+        for elem_x, (columns, tau, weight), (pixels, tau_in, weight_in) in zip(
+            probe.element_positions, every, aperture
+        ):
+            np.testing.assert_array_equal(columns, np.arange(grid.num_pixels))
             np.testing.assert_array_equal(
                 tau, propagation_delay(pixel, elem_x, tx, probe.sound_speed)
             )
             np.testing.assert_array_equal(
                 weight, apodization_weight(pixel, elem_x, inst["apod"])
             )
+            # a hanning window is positive throughout the aperture
+            np.testing.assert_array_equal(pixels, np.flatnonzero(weight > 0.0))
+            np.testing.assert_array_equal(tau_in, tau[pixels])
+            np.testing.assert_array_equal(weight_in, weight[pixels])
 
 
 def _assert_canonical(mat):
@@ -460,7 +468,7 @@ class TestCsrAssembly:
         )
         grid = ImagingGrid.for_probe(probe, nz=12, nx=8, z_origin=0.0)
         tx, apod = PlaneWaveTx(angle=0.0), ApodizationSpec(window="rectangular")
-        s = np.concatenate([tau * fs for tau, _ in element_geometry(probe, grid, tx, apod)])
+        s = np.concatenate([tau * fs for _, tau, _ in element_geometry(probe, grid, tx, apod)])
         assert np.count_nonzero(np.abs(s - np.round(s)) <= 1e-9) > 0
         mat = build_system_matrix(probe, grid, tx, 200, apod).matrix
         assert np.array_equal(mat.toarray(), dense_oracle(probe, grid, tx, 200, apod))
