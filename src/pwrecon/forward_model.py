@@ -8,15 +8,22 @@ apodization window. Rows are ordered sample-major within element
 (row = element * M + sample); image vectors are axial-major within lateral
 (column = ix * nz + iz), i.e. Fortran-order flattening of (nz, nx) arrays.
 
-The assembled matrix is immutable and safe to share across threads; products
-use fixed-order accumulation so results are bit-reproducible.
+The assembled matrix is immutable and safe to share across threads. Each
+product is split into two fixed row blocks of the matrix, cut where its
+entries split in half, and the second block's half runs on one worker
+thread shared by every matrix. The cut depends only on the matrix, and the
+adjoint sums the two blocks' parts in one fixed order, so every machine,
+whatever its core count, gets the same bytes: the forward product those of
+the unsplit CSR product, the adjoint those of the two-block sum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -39,6 +46,21 @@ __all__ = [
 ]
 
 WINDOWS = ("rectangular", "hanning", "tukey")
+
+
+def _new_pool():
+    """Make ``_POOL``, the one worker that computes the second row block of
+    every product; its thread starts at the first product. It runs only
+    scipy products on the blocks, never a pwrecon function: callers may
+    trace pwrecon's functions on one span stack, which is not thread-safe.
+    A forked child makes its own, as it inherits the parent's record of a
+    worker but not the worker thread, and a product would wait forever."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pwrecon-product")
+
+
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True)
@@ -209,7 +231,9 @@ class SparseSystemMatrix:
                 "expected image vector of length %d, got shape %s"
                 % (self.num_cols, x.shape)
             )
-        return self.matrix @ x
+        (top, _), (bottom, _) = self._blocks
+        pending = _POOL.submit(operator.matmul, bottom, x)
+        return np.concatenate((top @ x, pending.result()))
 
     def apply_adjoint(self, y):
         """Transpose product: channel vector -> image vector."""
@@ -219,13 +243,34 @@ class SparseSystemMatrix:
                 "expected channel vector of length %d, got shape %s"
                 % (self.num_rows, y.shape)
             )
-        return self._transpose @ y
+        (top, top_t), (_, bottom_t) = self._blocks
+        cut = top.shape[0]
+        pending = _POOL.submit(operator.matmul, bottom_t, y[cut:])
+        out = top_t @ y[:cut]
+        out += pending.result()
+        return out
 
     @cached_property
-    def _transpose(self):
-        # a CSC view of the CSR arrays (no copy); ``.T`` would rebuild and
-        # re-check it on every product
-        return self.matrix.T
+    def _blocks(self):
+        # rows up to the first row boundary at or past half the entries, and
+        # the rest: each as a CSR matrix and its transpose (CSC)
+        matrix = self.matrix
+        cut = int(np.searchsorted(matrix.indptr, matrix.nnz // 2))
+        return _row_block(matrix, 0, cut), _row_block(matrix, cut, matrix.shape[0])
+
+
+def _row_block(matrix, start, stop):
+    """Rows ``start`` to ``stop`` of CSR ``matrix`` as a CSR matrix and its
+    transpose (CSC) on views of its data and indices."""
+    lo, hi = matrix.indptr[start], matrix.indptr[stop]
+    arrays = (matrix.data[lo:hi], matrix.indices[lo:hi], matrix.indptr[start : stop + 1] - lo)
+    shape = (stop - start, matrix.shape[1])
+    block, transpose = sp.csr_matrix(shape), sp.csc_matrix(shape[::-1])
+    for m in (block, transpose):
+        # set after construction: scipy's constructor copies a view of less
+        # than half of its array, which one block always is but for an even cut
+        m.data, m.indices, m.indptr = arrays
+    return block, transpose
 
 
 def matrix_geometry(probe, grid, tx, num_samples, apod):

@@ -193,15 +193,16 @@ class SolverState:
 @dataclass
 class SolveReport:
     """Outcome of one solve: final image plus convergence diagnostics. A
-    sequential solve's ``iterations`` is the sum over its ``stages``."""
+    sequential solve's ``iterations`` is the sum over its ``stages``, and
+    its ``state`` and ``scale`` are None: each stage's report holds its own."""
 
     result: RfImage
     converged: bool
     iterations: int
     wall_time: float
     config: SolverConfig
-    state: SolverState
-    scale: float = 1.0
+    state: SolverState | None
+    scale: float | None = 1.0
     stages: list = field(default_factory=list)
 
     def to_json_dict(self):
@@ -625,7 +626,7 @@ def _solve_sequential(cfg, model, y_ch, psf, x0, t_start):
         iterations=report1.iterations + report2.iterations,
         wall_time=time.perf_counter() - t_start,
         config=cfg,
-        state=report2.state,
-        scale=report2.scale,
+        state=None,
+        scale=None,
         stages=[report1, report2],
     )

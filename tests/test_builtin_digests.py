@@ -8,27 +8,49 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 DESK_POINT = {
     "desk_point das": {"sha1": "6b1f77657eca"},
     "desk_point joint": {
         "iterations": [28], "products": 618, "inner_capped": 0, "basis_columns": 24,
-        "sha1": "2ce155f5753d",
+        "sha1": "8c6b2d4b0cde",
     },
     "desk_point sequential": {
         "iterations": [2, 49], "products": 78, "inner_capped": 0, "basis_columns": 24,
-        "sha1": "51830730add2",
+        "sha1": "86994deadf30",
     },
 }
 
 
-def test_prints_counts_and_digest_of_each_solve_of_one_config():
+def _digests(*setup):
+    """The tool's desk_point JSON, printed by a Python that first runs the
+    ``setup`` statements."""
+    tool = str(ROOT / "tools" / "builtin_digests.py")
+    code = "; ".join(setup + (
+        "import runpy, sys",
+        "sys.argv[1:] = ['desk_point']",
+        "runpy.run_path(%r, run_name='__main__')" % tool,
+    ))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "builtin_digests.py"), "desk_point"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    doc = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_prints_counts_and_digest_of_each_solve_of_one_config():
+    doc = _digests()
     assert list(doc) == list(DESK_POINT)
     assert doc == DESK_POINT
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_one_cpu_gives_the_same_digests():
+    # the system-matrix products split into the same two row blocks on any
+    # number of cores
+    cpu = min(os.sched_getaffinity(0))
+    assert _digests("import os", "os.sched_setaffinity(0, {%d})" % cpu) == DESK_POINT

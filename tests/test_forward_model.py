@@ -2,13 +2,17 @@
 apodization closed forms, adjoint consistency, caching, time windows."""
 
 import json
+import multiprocessing
 import struct
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,15 +238,6 @@ class TestProducts:
         row = model.apply_adjoint(e)
         assert np.array_equal(row, model.matrix.toarray()[r, :])
 
-    def test_adjoint_view_is_built_once_on_the_same_arrays(self, tiny_instance, rng):
-        model = tiny_instance["model"]
-        y = rng.standard_normal(model.num_rows)
-        assert np.array_equal(model.apply_adjoint(y), model.matrix.T @ y)
-        view = model._transpose
-        assert model._transpose is view
-        for part in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(view, part), getattr(model.matrix, part))
-
     def test_forward_matches_dense_product(self, tiny_instance, rng):
         model = tiny_instance["model"]
         dense = model.matrix.toarray()
@@ -276,6 +271,124 @@ class TestProducts:
             model.apply(np.zeros(model.num_cols + 1))
         with pytest.raises(ValueError):
             model.apply_adjoint(np.zeros(model.num_rows - 1))
+
+
+def _two_block_adjoint(model, y):
+    """The adjoint as the blocks define it, on the calling thread: the top
+    block's part plus the bottom block's."""
+    (top, top_t), (_, bottom_t) = model._blocks
+    cut = top.shape[0]
+    return top_t @ y[:cut] + bottom_t @ y[cut:]
+
+
+class TestRowBlocks:
+    """Each product splits into two fixed row blocks, the second computed on
+    the product worker thread."""
+
+    def test_blocks_are_views_built_once(self, tiny_instance):
+        model = replace(tiny_instance["model"])  # a copy with no blocks built yet
+        blocks = model._blocks
+        assert model._blocks is blocks
+        mat = model.matrix
+        (top, top_t), (bottom, bottom_t) = blocks
+        assert top.shape[0] + bottom.shape[0] == model.num_rows
+        assert top.nnz >= model.nnz // 2 >= top.nnz - np.diff(mat.indptr).max()
+        for block in (top, top_t, bottom, bottom_t):
+            assert np.shares_memory(block.data, mat.data)
+            assert np.shares_memory(block.indices, mat.indices)
+        for block, transpose in blocks:
+            for part in ("data", "indices", "indptr"):
+                assert getattr(block, part) is getattr(transpose, part)
+
+    def test_forward_equals_the_csr_product(self, tiny_instance, rng):
+        model = tiny_instance["model"]
+        for _ in range(5):
+            x = rng.standard_normal(model.num_cols)
+            assert np.array_equal(model.apply(x), model.matrix @ x)
+
+    def test_adjoint_equals_the_two_block_sum(self, tiny_instance, rng):
+        model = tiny_instance["model"]
+        for _ in range(5):
+            y = rng.standard_normal(model.num_rows)
+            out = model.apply_adjoint(y)
+            assert np.array_equal(out, _two_block_adjoint(model, y))
+            serial = model.matrix.T @ y
+            assert np.max(np.abs(out - serial)) <= 1e-14 * np.max(np.abs(serial))
+
+    @pytest.mark.parametrize("row", [0, 5, 63])
+    def test_all_entries_in_one_row(self, tiny_instance, rng, row):
+        # every entry lands in the top block: the bottom holds none, or no
+        # row at all when the entries sit in the last row
+        model = tiny_instance["model"]
+        dense = np.zeros((64, model.num_cols))
+        dense[row] = rng.standard_normal(model.num_cols)
+        model = replace(model, matrix=sp.csr_matrix(dense))
+        (top, _), (bottom, _) = model._blocks
+        assert (top.shape[0], bottom.nnz) == (row + 1, 0)
+        x, y = rng.standard_normal(model.num_cols), rng.standard_normal(64)
+        assert np.array_equal(model.apply(x), model.matrix @ x)
+        assert np.array_equal(model.apply_adjoint(y), y[row] * dense[row])
+
+    def test_matrix_without_entries_has_an_empty_top_block(self, tiny_probe, tiny_tx):
+        # a one-pixel grid at depth 0 lies outside every aperture
+        grid = ImagingGrid.for_probe(tiny_probe, nz=1, nx=1, z_origin=0.0)
+        t0, num = suggest_time_window(tiny_probe, grid, tiny_tx)
+        probe = replace(tiny_probe, t0_offset=t0)
+        model = build_system_matrix(probe, grid, tiny_tx, num, ApodizationSpec())
+        (top, _), (bottom, _) = model._blocks
+        assert (model.nnz, top.shape[0], bottom.shape[0]) == (0, 0, model.num_rows)
+        assert np.array_equal(model.apply(np.ones(1)), np.zeros(model.num_rows))
+        assert np.array_equal(model.apply_adjoint(np.ones(model.num_rows)), np.zeros(1))
+
+    def test_steered_transmit(self, rng):
+        cfg = next(_steered_configs())
+        probe, num = _derived_window(cfg)
+        model = build_system_matrix(probe, cfg.grid, cfg.tx(), num, cfg.apodization)
+        x, y = rng.standard_normal(model.num_cols), rng.standard_normal(model.num_rows)
+        assert np.array_equal(model.apply(x), model.matrix @ x)
+        out = model.apply_adjoint(y)
+        assert np.array_equal(out, _two_block_adjoint(model, y))
+        np.testing.assert_allclose(out, model.matrix.T @ y, rtol=0, atol=1e-14 * np.abs(out).max())
+
+    def test_threads_sharing_one_matrix_get_the_same_bytes(self, rng):
+        model = build_model(run_config_from_dict(get_builtin_config("desk_point")))
+        xs = rng.standard_normal((8, model.num_cols))
+        ys = rng.standard_normal((8, model.num_rows))
+
+        def products(_):
+            return [model.apply(x).tobytes() + model.apply_adjoint(y).tobytes()
+                    for x, y in zip(xs, ys)]
+
+        alone = products(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(products, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [alone] * 4
+
+    def test_forked_child_gets_its_own_worker(self, tiny_instance, rng):
+        # the child inherits the pool's record of a worker, not its thread
+        model = tiny_instance["model"]
+        x = rng.standard_normal(model.num_cols)
+        parent = model.apply(x)
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            send.send_bytes(model.apply(x).tobytes())
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(30), "the forked child's product did not finish"
+            assert receive.recv_bytes() == parent.tobytes()
+        finally:
+            proc.join(5)
+            if proc.is_alive():
+                proc.kill()
+        assert proc.exitcode == 0
 
 
 class TestCacheFile:

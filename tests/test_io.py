@@ -225,7 +225,7 @@ def _assert_same(back, obj):
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(other, part), getattr(value, part))
             assert other.shape == value.shape
-        elif name not in ("_tf_cache", "_transpose"):
+        elif name not in ("_tf_cache", "_blocks"):
             assert other == value
 
 

@@ -376,6 +376,23 @@ class TestSolve:
         assert (stage2.mode, stage2.gamma_d, stage2.gamma_b) == ("deconv_only", 1.0, 0.0)
         assert np.all(np.isfinite(report.result.data))
 
+    def test_sequential_report_leaves_state_to_its_stages(self, covered_instance, rng):
+        # the stages' states differ (only stage 1 makes products), so the
+        # whole solve has none of its own
+        model = covered_instance["model"]
+        x = np.zeros(covered_instance["grid"].shape)
+        x[6, 6] = 1.0
+        y_ch = channel_data(model, model.apply(x.reshape(-1, order="F")))
+        cfg = SolverConfig(gamma_d=0.0, gamma_b=1.0, mu=0.01, beta=2.0, mode="sequential")
+        report = solve(cfg, model=model, y_ch=y_ch, psf=make_psf(rng))
+        assert (report.state, report.scale) == (None, None)
+        stage1, stage2 = report.stages
+        assert stage1.state.forward_products > 0 == stage2.state.forward_products
+        assert stage1.scale > 0 and stage2.scale > 0
+        assert report.iterations == len(stage1.state.primal_residuals) + len(
+            stage2.state.primal_residuals
+        )
+
     @pytest.mark.parametrize("stage2", [None, {"preset": "sr"}])
     @pytest.mark.parametrize(
         "keys", [{"mu": 0.2, "beta": 2.0}, {"preset": "sr"}, {"preset": "cc"}]
