@@ -9,8 +9,8 @@ apodization window. Rows are ordered sample-major within element
 (column = ix * nz + iz), i.e. Fortran-order flattening of (nz, nx) arrays.
 
 The assembled matrix is immutable and safe to share across threads. Each
-product is split into two fixed row blocks of the matrix, cut where its
-entries split in half, and the second block's half runs on one worker
+product runs scipy's compiled kernels, into its own output, on two fixed
+row blocks cut where the entries split in half: the second on one worker
 thread shared by every matrix. The cut depends only on the matrix, and the
 adjoint sums the two blocks' parts in one fixed order, so every machine,
 whatever its core count, gets the same bytes: the forward product those of
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -29,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .acquisition import ImagingGrid, PlaneWaveTx, ProbeGeometry
 
@@ -51,7 +51,7 @@ WINDOWS = ("rectangular", "hanning", "tukey")
 def _new_pool():
     """Make ``_POOL``, the one worker that computes the second row block of
     every product; its thread starts at the first product. It runs only
-    scipy products on the blocks, never a pwrecon function: callers may
+    scipy's kernels on the blocks, never a pwrecon function: callers may
     trace pwrecon's functions on one span stack, which is not thread-safe.
     A forked child makes its own, as it inherits the parent's record of a
     worker but not the worker thread, and a product would wait forever."""
@@ -199,7 +199,7 @@ def element_geometry(probe, grid, tx, apod, aperture_only=False):
             yield columns, tau_t + _receive_leg(z_squared, offset, c), _weight(d, inside, apod)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseSystemMatrix:
     """CSR weighting matrix with apodization folded in, plus its provenance."""
 
@@ -225,52 +225,52 @@ class SparseSystemMatrix:
 
     def apply(self, x):
         """Forward product: image vector -> channel vector."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64, order="C")
         if x.shape != (self.num_cols,):
             raise ValueError(
                 "expected image vector of length %d, got shape %s"
                 % (self.num_cols, x.shape)
             )
-        (top, _), (bottom, _) = self._blocks
-        pending = _POOL.submit(operator.matmul, bottom, x)
-        return np.concatenate((top @ x, pending.result()))
+        top, bottom = self._blocks
+        cut = top[0]
+        out = np.zeros(self.num_rows)
+        pending = _POOL.submit(csr_matvec, *bottom, x, out[cut:])
+        csr_matvec(*top, x, out[:cut])
+        pending.result()
+        return out
 
     def apply_adjoint(self, y):
         """Transpose product: channel vector -> image vector."""
-        y = np.asarray(y, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64, order="C")
         if y.shape != (self.num_rows,):
             raise ValueError(
                 "expected channel vector of length %d, got shape %s"
                 % (self.num_rows, y.shape)
             )
-        (top, top_t), (_, bottom_t) = self._blocks
-        cut = top.shape[0]
-        pending = _POOL.submit(operator.matmul, bottom_t, y[cut:])
-        out = top_t @ y[:cut]
-        out += pending.result()
+        # a row block's CSR arrays are those of its transpose in CSC
+        (cut, cols, *top), (rows, _, *bottom) = self._blocks
+        out, part = np.zeros(cols), np.zeros(cols)
+        pending = _POOL.submit(csc_matvec, cols, rows, *bottom, y[cut:], part)
+        csc_matvec(cols, cut, *top, y[:cut], out)
+        pending.result()
+        out += part
         return out
 
     @cached_property
     def _blocks(self):
         # rows up to the first row boundary at or past half the entries, and
-        # the rest: each as a CSR matrix and its transpose (CSC)
+        # the rest
         matrix = self.matrix
         cut = int(np.searchsorted(matrix.indptr, matrix.nnz // 2))
         return _row_block(matrix, 0, cut), _row_block(matrix, cut, matrix.shape[0])
 
 
 def _row_block(matrix, start, stop):
-    """Rows ``start`` to ``stop`` of CSR ``matrix`` as a CSR matrix and its
-    transpose (CSC) on views of its data and indices."""
+    """Rows ``start`` to ``stop`` of CSR ``matrix`` as csr_matvec's leading
+    arguments: its shape, its indptr shifted to 0, views of indices and data."""
     lo, hi = matrix.indptr[start], matrix.indptr[stop]
-    arrays = (matrix.data[lo:hi], matrix.indices[lo:hi], matrix.indptr[start : stop + 1] - lo)
-    shape = (stop - start, matrix.shape[1])
-    block, transpose = sp.csr_matrix(shape), sp.csc_matrix(shape[::-1])
-    for m in (block, transpose):
-        # set after construction: scipy's constructor copies a view of less
-        # than half of its array, which one block always is but for an even cut
-        m.data, m.indices, m.indptr = arrays
-    return block, transpose
+    shifted = matrix.indptr[start : stop + 1] - lo
+    return stop - start, matrix.shape[1], shifted, matrix.indices[lo:hi], matrix.data[lo:hi]
 
 
 def matrix_geometry(probe, grid, tx, num_samples, apod):

@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -274,11 +274,11 @@ class TestProducts:
 
 
 def _two_block_adjoint(model, y):
-    """The adjoint as the blocks define it, on the calling thread: the top
-    block's part plus the bottom block's."""
-    (top, top_t), (_, bottom_t) = model._blocks
-    cut = top.shape[0]
-    return top_t @ y[:cut] + bottom_t @ y[cut:]
+    """The adjoint as the blocks define it, on the calling thread: scipy's
+    transposed product of the rows above the cut plus that of the rest."""
+    (cut, *_), _ = model._blocks
+    mat = model.matrix
+    return mat[:cut].T @ y[:cut] + mat[cut:].T @ y[cut:]
 
 
 class TestRowBlocks:
@@ -290,15 +290,25 @@ class TestRowBlocks:
         blocks = model._blocks
         assert model._blocks is blocks
         mat = model.matrix
-        (top, top_t), (bottom, bottom_t) = blocks
-        assert top.shape[0] + bottom.shape[0] == model.num_rows
-        assert top.nnz >= model.nnz // 2 >= top.nnz - np.diff(mat.indptr).max()
-        for block in (top, top_t, bottom, bottom_t):
-            assert np.shares_memory(block.data, mat.data)
-            assert np.shares_memory(block.indices, mat.indices)
-        for block, transpose in blocks:
-            for part in ("data", "indices", "indptr"):
-                assert getattr(block, part) is getattr(transpose, part)
+        (cut, cols, top_ptr, top_idx, top_data), (rows, cols_b, ptr, idx, data) = blocks
+        assert (cut + rows, cols, cols_b) == (model.num_rows, model.num_cols, model.num_cols)
+        assert top_ptr[-1] >= model.nnz // 2 >= top_ptr[-1] - np.diff(mat.indptr).max()
+        for view, whole in ((top_idx, mat.indices), (idx, mat.indices),
+                            (top_data, mat.data), (data, mat.data)):
+            assert np.shares_memory(view, whole)
+        assert np.array_equal(np.concatenate((top_ptr, ptr[1:] + top_ptr[-1])), mat.indptr)
+        assert np.array_equal(np.concatenate((top_idx, idx)), mat.indices)
+        assert np.array_equal(np.concatenate((top_data, data)), mat.data)
+
+    def test_matrix_is_frozen_and_a_replacement_gets_its_own_blocks(self, tiny_instance, rng):
+        model = replace(tiny_instance["model"])
+        x = rng.standard_normal(model.num_cols)
+        before = model.apply(x)
+        with pytest.raises(FrozenInstanceError):
+            model.matrix = 2 * model.matrix
+        doubled = replace(model, matrix=2 * model.matrix)
+        assert np.array_equal(doubled.apply(x), doubled.matrix @ x)
+        assert np.array_equal(model.apply(x), before)
 
     def test_forward_equals_the_csr_product(self, tiny_instance, rng):
         model = tiny_instance["model"]
@@ -323,8 +333,8 @@ class TestRowBlocks:
         dense = np.zeros((64, model.num_cols))
         dense[row] = rng.standard_normal(model.num_cols)
         model = replace(model, matrix=sp.csr_matrix(dense))
-        (top, _), (bottom, _) = model._blocks
-        assert (top.shape[0], bottom.nnz) == (row + 1, 0)
+        (cut, *_), (*_, bottom_data) = model._blocks
+        assert (cut, bottom_data.size) == (row + 1, 0)
         x, y = rng.standard_normal(model.num_cols), rng.standard_normal(64)
         assert np.array_equal(model.apply(x), model.matrix @ x)
         assert np.array_equal(model.apply_adjoint(y), y[row] * dense[row])
@@ -335,8 +345,8 @@ class TestRowBlocks:
         t0, num = suggest_time_window(tiny_probe, grid, tiny_tx)
         probe = replace(tiny_probe, t0_offset=t0)
         model = build_system_matrix(probe, grid, tiny_tx, num, ApodizationSpec())
-        (top, _), (bottom, _) = model._blocks
-        assert (model.nnz, top.shape[0], bottom.shape[0]) == (0, 0, model.num_rows)
+        (cut, *_), (rows, *_) = model._blocks
+        assert (model.nnz, cut, rows) == (0, 0, model.num_rows)
         assert np.array_equal(model.apply(np.ones(1)), np.zeros(model.num_rows))
         assert np.array_equal(model.apply_adjoint(np.ones(model.num_rows)), np.zeros(1))
 
@@ -349,6 +359,39 @@ class TestRowBlocks:
         out = model.apply_adjoint(y)
         assert np.array_equal(out, _two_block_adjoint(model, y))
         np.testing.assert_allclose(out, model.matrix.T @ y, rtol=0, atol=1e-14 * np.abs(out).max())
+
+    def test_strided_integer_and_fortran_inputs(self, tiny_instance, rng):
+        model, grid = tiny_instance["model"], tiny_instance["grid"]
+        image = rng.standard_normal((grid.nz, grid.nx))
+        m = model.num_time_samples
+        channels = rng.standard_normal((m, model.num_rows // m))
+        xs = [
+            rng.standard_normal(3 * model.num_cols)[::3],
+            rng.integers(-9, 10, model.num_cols),
+            image.ravel(order="F"),
+            np.asfortranarray(image).reshape(-1, order="F"),
+        ]
+        ys = [
+            rng.standard_normal((model.num_rows, 2))[:, 1],
+            rng.integers(-9, 10, model.num_rows),
+            channels.ravel(order="F"),
+            np.asfortranarray(channels).reshape(-1, order="F"),
+        ]
+        for x, y in zip(xs, ys):
+            assert model.apply(x).tobytes() == (model.matrix @ x).tobytes()
+            assert model.apply_adjoint(y).tobytes() == _two_block_adjoint(model, y).tobytes()
+
+    def test_successive_outputs_never_share_memory(self, tiny_instance, rng):
+        model = tiny_instance["model"]
+        x, y = rng.standard_normal(model.num_cols), rng.standard_normal(model.num_rows)
+        outs = [model.apply(x), model.apply(x), model.apply_adjoint(y), model.apply_adjoint(y)]
+        for i, out in enumerate(outs):
+            for other in outs[i + 1 :] + [x, y, model.matrix.data]:
+                assert not np.shares_memory(out, other)
+        outs[0][:] = np.nan
+        outs[2][:] = np.nan
+        assert np.array_equal(model.apply(x), outs[1])
+        assert np.array_equal(model.apply_adjoint(y), outs[3])
 
     def test_threads_sharing_one_matrix_get_the_same_bytes(self, rng):
         model = build_model(run_config_from_dict(get_builtin_config("desk_point")))
