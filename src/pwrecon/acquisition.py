@@ -20,6 +20,7 @@ __all__ = [
     "CystRegion",
     "TARGET_KINDS",
     "Phantom",
+    "check_grid",
     "disc_mask",
     "make_point_phantom",
     "make_cyst_phantom",
@@ -205,6 +206,16 @@ class Phantom:
         return self.trf.reshape(-1, order="F")
 
 
+def check_grid(grid, against, **items):
+    """Refuse each image or phantom of ``items`` (None is skipped) that is
+    not on ``grid``, that of ``against``; the ValueError names both grids."""
+    for name, item in items.items():
+        if item is not None and item.grid != grid:
+            raise ValueError(
+                "%s grid %s differs from %s grid %s" % (name, item.grid, against, grid)
+            )
+
+
 def _nearest_node(grid, z, x):
     iz = int(np.rint((z - grid.z_origin) / grid.dz))
     ix = int(np.rint((x - grid.x_positions[0]) / grid.dx))
@@ -272,11 +283,7 @@ def simulate_channel_data(phantom, model, snr_db, seed):
     ``snr_db=None`` gives noiseless data. Output is deterministic for fixed
     (phantom, model, snr_db, seed).
     """
-    if phantom.grid != model.grid:
-        raise ValueError(
-            "phantom grid %s differs from the system matrix grid %s"
-            % (phantom.grid, model.grid)
-        )
+    check_grid(model.grid, "the system matrix", phantom=phantom)
     clean = model.apply(phantom.to_vector())
     m = model.num_time_samples
     n = model.probe.num_elements

@@ -72,10 +72,11 @@ def das_beamform(ch, grid, apod):
     m_count = ch.num_samples
     traces = np.ascontiguousarray(ch.samples.T)  # one contiguous row per element
     acc = np.zeros(grid.num_pixels)
-    # a pixel outside an element's aperture would add w * value = +-0, which
-    # leaves every sum as it is; the kept terms add in element order
+    # a pixel outside an element's aperture adds w * value = +-0, which leaves
+    # every sum as it is, as a sum from +0 is never -0; the others add in
+    # element order
     geometry = element_geometry(probe, grid, ch.tx, apod, aperture_only=True)
-    for n, (pixels, tau, w) in enumerate(geometry):
+    for n, (span, tau, w) in enumerate(geometry):
         s = (tau - t0) * fs
         valid = (s >= 0.0) & (s <= m_count - 1)
         base = np.floor(s)
@@ -87,8 +88,8 @@ def das_beamform(ch, grid, apod):
         vals = (1.0 - frac) * trace.take(i0, mode="clip") + frac * trace.take(
             i0 + 1, mode="clip"
         )
-        acc[pixels] += np.where(valid, w * vals, 0.0)
-    # pixels come in column order; images are stored C-contiguous
+        acc[span] += np.where(valid, w * vals, 0.0)
+    # acc is in column (Fortran) order; images are stored C-contiguous
     return RfImage(np.ascontiguousarray(acc.reshape(grid.shape, order="F")), grid)
 
 

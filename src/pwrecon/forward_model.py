@@ -108,20 +108,6 @@ def propagation_delay(pixel, element_x, tx, sound_speed):
     )
 
 
-def _window_value(d, spec):
-    """Window amplitude at absolute normalized aperture offsets d in [0, 1]."""
-    if spec.window == "hanning":
-        return np.cos(np.pi * d / 2.0) ** 2
-    val = np.ones_like(d)
-    if spec.window == "tukey":
-        # flat for d <= 1 - taper, cosine roll-off to zero at d = 1; a taper
-        # too small to move 1 - taper off 1 leaves no ramp to divide by
-        a = spec.taper
-        ramp = d > 1.0 - a
-        val[ramp] = 0.5 * (1.0 + np.cos(np.pi * (d[ramp] - (1.0 - a)) / a))
-    return val
-
-
 def _within_aperture(positive, offset, half):
     """Lateral ``offset`` in aperture half-widths ``half``, and the mask of
     pixels within the aperture: of ``positive`` depth and offset at most 1."""
@@ -132,9 +118,21 @@ def _within_aperture(positive, offset, half):
 
 
 def _weight(d, inside, spec):
-    """Window amplitude at offsets ``d`` where ``inside``, zero elsewhere."""
+    """Window amplitude at absolute normalized aperture offsets ``d`` where
+    ``inside`` (offsets in [0, 1]), zero elsewhere."""
+    d = d[inside]
+    if spec.window == "hanning":
+        val = np.cos(np.pi * d / 2.0) ** 2
+    else:
+        val = np.ones_like(d)
+    if spec.window == "tukey":
+        # flat for d <= 1 - taper, cosine roll-off to zero at d = 1; a taper
+        # too small to move 1 - taper off 1 leaves no ramp to divide by
+        a = spec.taper
+        ramp = d > 1.0 - a
+        val[ramp] = 0.5 * (1.0 + np.cos(np.pi * (d[ramp] - (1.0 - a)) / a))
     w = np.zeros(inside.shape)
-    w[inside] = _window_value(d[inside], spec)
+    w[inside] = val
     return w
 
 
@@ -156,13 +154,15 @@ def apodization_weight(pixel, element_x, spec):
 def element_geometry(probe, grid, tx, apod, aperture_only=False):
     """Round-trip delay and receive apodization of pixels, per element.
 
-    Yields one ``(pixels, tau, weight)`` triple per receive element, in
-    element order: the system-matrix columns of the pixels, ascending, and
-    their ``propagation_delay`` and ``apodization_weight``. This is the
-    geometry both the system matrix and delay-and-sum are built from. Every
-    pixel is yielded, unless ``aperture_only``: then only those within the
-    element's aperture (z > 0 and an offset of at most one half-width),
-    outside which every weight is zero.
+    Yields one ``(span, tau, weight)`` triple per receive element, in
+    element order: a slice of system-matrix columns, and the
+    ``propagation_delay`` and ``apodization_weight`` of its pixels. This is
+    the geometry both the system matrix and delay-and-sum are built from.
+    The span is the whole grid, unless ``aperture_only``: then it is the
+    grid columns within the element's aperture at the deepest row, which
+    hold every pixel within it (z > 0 and an offset of at most one
+    half-width), as the aperture widens with depth. Every weight of the
+    span outside the aperture is exactly zero.
     """
     nz = grid.nz
     z = np.tile(grid.z_positions, grid.nx)
@@ -174,29 +174,16 @@ def element_geometry(probe, grid, tx, apod, aperture_only=False):
     positive = z > 0
     half = z / (2.0 * apod.f_number)
     elements = probe.element_positions
-    spans = [slice(None)] * len(elements)
+    spans = [slice(0, grid.num_pixels)] * len(elements)
     if aperture_only:
-        # the aperture widens with depth, so the grid columns within it at
-        # the deepest row, an interval, hold every pixel within it
         _, within = _within_aperture(True, grid.x_positions - elements[:, None], half[-1])
         first, count = within.argmax(axis=1), within.sum(axis=1)
         spans = [slice(a * nz, (a + k) * nz) for a, k in zip(first, count)]
-    columns = np.arange(grid.num_pixels, dtype=np.int32)
     for elem_x, span in zip(elements, spans):
         offset = x[span] - elem_x
         d, inside = _within_aperture(positive[span], offset, half[span])
-        if aperture_only:
-            keep = np.flatnonzero(inside)
-            pixels = keep + span.start
-            yield (
-                pixels,
-                tau_t[pixels] + _receive_leg(z_squared[pixels], offset[keep], c),
-                _window_value(d[keep], apod),
-            )
-        else:
-            # the system matrix takes every pixel: its t_max counts
-            # zero-weight contributors
-            yield columns, tau_t + _receive_leg(z_squared, offset, c), _weight(d, inside, apod)
+        tau = tau_t[span] + _receive_leg(z_squared[span], offset, c)
+        yield span, tau, _weight(d, inside, apod)
 
 
 @dataclass(frozen=True)
@@ -322,33 +309,24 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     indices = np.empty(0, dtype=np.int32)
     data = np.empty(0)
     nnz = 0
-    for n, (columns, tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
+    # the span is the whole grid, so a column indexes tau and apw: the system
+    # matrix takes every pixel, as its t_max counts zero-weight contributors
+    columns = np.arange(grid.num_pixels, dtype=np.int32)
+    for n, (_, tau, apw) in enumerate(element_geometry(probe, grid, tx, apod)):
         base = np.floor((tau - t0) * fs).astype(np.int64)
-        samp_list = []
-        col_list = []
-        dt_list = []
-
-        def within_gate(k, px):
-            """Keep sample base + k of pixels ``px`` where it lies within the
-            gate of the delay; return every tried pixel's mismatch."""
-            i = base[px] + k
-            dt = np.abs(i / fs + t0 - tau[px])
-            ok = (dt <= gate) & (i >= 0) & (i < m_count)
-            samp_list.append(i[ok])
-            col_list.append(columns[px][ok])
-            dt_list.append(dt[ok])
-            return dt
-
         # a delay lies between samples base and base + 1, within the gate of
         # both; it is within the gate of base - 1 (base + 2) only when it
         # sits on base (base + 1) up to rounding, so only such pixels are
         # tried there
-        for k, beyond in ((0, -1), (1, 2)):
-            on_sample = np.flatnonzero(within_gate(k, slice(None)) <= 1e-6 * gate)
-            within_gate(beyond, on_sample)
-        samp = np.concatenate(samp_list)
-        col = np.concatenate(col_list)
-        dt = np.concatenate(dt_list)
+        samp = np.concatenate((base, base + 1))
+        dt = np.abs(samp / fs + t0 - np.concatenate((tau, tau)))
+        on = np.flatnonzero(dt <= 1e-6 * gate)
+        px = on % tau.size
+        samp = np.concatenate((samp, samp[on] + np.where(on < tau.size, -1, 1)))
+        col = np.concatenate((columns, columns, columns[px]))
+        dt = np.concatenate((dt, np.abs(samp[dt.size :] / fs + t0 - tau[px])))
+        ok = (dt <= gate) & (samp >= 0) & (samp < m_count)
+        samp, col, dt = samp[ok], col[ok], dt[ok]
 
         # per-sample max mismatch and contributor count (apodization-independent)
         t_max = np.zeros(m_count)

@@ -127,14 +127,12 @@ def fwhm(env, target, axis):
     return width_px * spacing * 1000.0
 
 
-def _masks(regions):
-    """Unpack a (roi, background) mask pair as nonempty boolean arrays."""
-    roi, bg = regions
-    roi = np.asarray(roi, dtype=bool)
-    bg = np.asarray(bg, dtype=bool)
+def _values(img, regions):
+    """The image's values in a (roi, background) mask pair, both nonempty."""
+    roi, bg = (np.asarray(mask, dtype=bool) for mask in regions)
     if not roi.any() or not bg.any():
         raise ValueError("roi and background must both be nonempty")
-    return roi, bg
+    return img.data[roi], img.data[bg]
 
 
 def cnr(img, regions):
@@ -145,9 +143,7 @@ def cnr(img, regions):
     A zero mean difference with nonzero spread yields -inf; a fully
     degenerate pair (equal means, zero spread) is rejected.
     """
-    roi_mask, bg_mask = _masks(regions)
-    roi = img.data[roi_mask]
-    bg = img.data[bg_mask]
+    roi, bg = _values(img, regions)
     num = abs(float(roi.mean()) - float(bg.mean()))
     denom = np.sqrt((float(roi.var()) + float(bg.var())) / 2.0)
     if denom == 0.0:
@@ -165,9 +161,7 @@ def gcnr(img, regions):
     Histograms share ``_GCNR_BINS`` bins spanning the union of both regions
     and are each normalized to unit mass; the result lies in [0, 1].
     """
-    roi_mask, bg_mask = _masks(regions)
-    roi = img.data[roi_mask]
-    bg = img.data[bg_mask]
+    roi, bg = _values(img, regions)
     lo = min(roi.min(), bg.min())
     hi = max(roi.max(), bg.max())
     if lo == hi:

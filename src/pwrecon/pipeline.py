@@ -10,6 +10,7 @@ from .acquisition import (
     TARGET_KINDS,
     Phantom,
     PointTarget,
+    check_grid,
     make_cyst_phantom,
     make_point_phantom,
     simulate_channel_data,
@@ -201,7 +202,9 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
     computed by ``config_das`` from ``ch`` when not given.
     With ``model`` None the system matrix is built from ``cfg`` over the
     window of ``ch`` for the channel term (``resolve_psf`` builds its own).
+    A given ``y_das`` must lie on the config's grid, whatever the mode.
     """
+    check_grid(cfg.grid, "the run config's", reference=y_das)
     scfg = cfg.solver
     needs = observations_needed(scfg)
     needs_das = y_das is None and needs["das"]
@@ -227,6 +230,7 @@ def measure(cfg, phantom, image, reference=None, kind=None):
     intensity distribution. ``kind`` None measures a phantom's point targets
     if it has any, else its cysts; a kind it holds no target of is a ConfigError.
     """
+    check_grid(cfg.grid, "the run config's", phantom=phantom, image=image, reference=reference)
     has_points = any(isinstance(a, PointTarget) for a in phantom.annotations)
     kind = kind or ("point" if has_points else "cyst")
     if kind not in TARGET_KINDS:
@@ -262,6 +266,7 @@ def contrast(cfg, image, regions, reference):
     Both are measured on the log-compressed image, histogram-matched on the
     pair's background to the log-compressed reference when one is given.
     """
+    check_grid(cfg.grid, "the run config's", image=image, reference=reference)
     report = MetricsReport()
     bmode = log_compress(envelope(image), cfg.dynamic_range)
     ref_bmode = None

@@ -26,7 +26,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .acquisition import ChannelData
+from .acquisition import ChannelData, check_grid
 from .beamform import RfImage
 from .psf import conv_apply, deconv_update
 
@@ -220,12 +220,8 @@ class SolveReport:
         return {
             **d,
             "hyperparameters": {
-                "gamma_d": self.config.gamma_d,
-                "gamma_b": self.config.gamma_b,
-                "mu": self.config.mu,
-                "beta": self.config.beta,
-                "epsilon": self.config.epsilon,
-                "max_iter": self.config.max_iter,
+                k: getattr(self.config, k)
+                for k in ("gamma_d", "gamma_b", "mu", "beta", "epsilon", "max_iter")
             },
             "objective_history": list(self.state.objective_history),
             "primal_residuals": [list(r) for r in self.state.primal_residuals],
@@ -514,8 +510,7 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     # one data term is active, so the matrix or the image fixes the grid
     grid = model.grid if model is not None else y_das.grid
     shape = grid.shape
-    if needs["das"] and y_das.grid != grid:
-        raise ValueError("reference image grid does not match system matrix")
+    check_grid(grid, "the system matrix", reference=y_das if needs["das"] else None)
     x0 = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != shape:
         raise ValueError("x0 shape does not match grid")

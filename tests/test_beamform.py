@@ -1,5 +1,6 @@
 """Delay-and-sum, compounding, envelope detection, and log compression."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,8 @@ from pwrecon import (
     simulate_channel_data,
     suggest_time_window,
 )
+from pwrecon import pipeline
+from pwrecon.config import get_builtin_config, run_config_from_dict
 from pwrecon.forward_model import WINDOWS, element_geometry
 
 
@@ -148,7 +151,7 @@ class TestDasAgainstTheAllPixelOracle:
         ch, grid = _das_case(32, 8, 4, 1.0e-3, 0.1)
         apod = ApodizationSpec(window="tukey", f_number=3.0)
         geometry = element_geometry(ch.probe, grid, ch.tx, apod, aperture_only=True)
-        assert sum(pixels.size == 0 for pixels, _, _ in geometry) >= 2
+        assert sum(span.start == span.stop for span, _, _ in geometry) >= 2
         _assert_equals_the_oracle(ch, grid, apod)
 
     def test_rows_at_and_above_the_surface(self):
@@ -188,6 +191,25 @@ class TestDasAgainstTheAllPixelOracle:
     ):
         ch, grid = _das_case(num_elements, nz, nx, z_origin, angle, late, length, seed)
         _assert_equals_the_oracle(ch, grid, apod)
+
+
+class TestSpeckleDasDigests:
+    """The delay-and-sum image of desk_cyst's speckle, pinned byte for byte.
+    Its channel data are signed, so a sum that a +-0 term outside an
+    element's aperture moved, or a term dropped from it, would show here."""
+
+    @pytest.mark.parametrize(
+        "nz, nx, sha1", [(96, 64, "977954b678aa"), (192, 128, "8e6a9e4db18e")]
+    )
+    def test_desk_cyst(self, nz, nx, sha1):
+        doc = get_builtin_config("desk_cyst")
+        assert doc["phantom"]["seed"] == 7
+        doc["grid"]["nz"], doc["grid"]["nx"] = nz, nx
+        cfg = run_config_from_dict(doc)
+        model = pipeline.build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        image = pipeline.reference_das(model, ch).data
+        assert hashlib.sha1(image.tobytes()).hexdigest()[:12] == sha1
 
 
 class TestCompound:

@@ -881,3 +881,82 @@ def test_readme_cli_examples_parse():
     for argv in commands:
         assert argv[0] == "pwrecon"
         parser.parse_args(argv[1:])  # a flag README names but the CLI lacks exits 2
+
+
+class TestGridMismatch:
+    """An image, reference or phantom on another grid than the run config's
+    is refused with both grids named, never scored or solved on."""
+
+    @staticmethod
+    def _files(tmp_path, **on_grid):
+        """Containers of a random image and of the desk_point phantom, each
+        on the builtin desk_point grid or ``nx`` columns wide."""
+        from pwrecon import load_run_config, make_point_phantom
+
+        cfg = load_run_config("builtin:desk_point")
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name, nx in on_grid.items():
+            grid = ImagingGrid.for_probe(cfg.probe, cfg.grid.nz, nx, cfg.grid.z_origin)
+            if name == "phantom":
+                points = [tuple(p) for p in cfg.phantom["points"]]
+                obj = make_point_phantom(grid, points)
+            else:
+                obj = RfImage(rng.standard_normal(grid.shape), grid)
+            paths[name] = str(tmp_path / ("%s.usjd" % name))
+            write_container(obj, paths[name])
+        return paths
+
+    @pytest.mark.parametrize("reference", [None, 48, 64], ids=["alone", "both", "image"])
+    def test_metrics_discs_of_an_image_on_another_grid_exit_4(
+        self, tmp_path, capsys, reference
+    ):
+        sizes = {"image": 48} if reference is None else {"image": 48, "reference": reference}
+        paths = self._files(tmp_path, **sizes)
+        flags = ["--reference", paths["reference"]] if reference else []
+        assert main([
+            "metrics", "--config", "builtin:desk_point", "--image", paths["image"],
+            "--roi", "0.0085,0.0,0.0008", "--background", "0.0085,0.004,0.0008", *flags,
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: image grid ImagingGrid(nz=96, nx=48,")
+        assert "differs from the run config's grid ImagingGrid(nz=96, nx=64," in err
+
+    @pytest.mark.parametrize(
+        "image, phantom, wrong",
+        [(48, 48, "phantom"), (64, 48, "phantom"), (48, 64, "image")],
+        ids=["both", "phantom", "image"],
+    )
+    def test_metrics_phantom_on_another_grid_exits_4(
+        self, tmp_path, capsys, image, phantom, wrong
+    ):
+        paths = self._files(tmp_path, image=image, phantom=phantom)
+        assert main([
+            "metrics", "--config", "builtin:desk_point", "--image", paths["image"],
+            "--phantom", paths["phantom"],
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s grid ImagingGrid(nz=96, nx=48," % wrong)
+        assert "differs from the run config's grid ImagingGrid(nz=96, nx=64," in err
+
+    def test_deconv_only_das_on_another_grid_exits_4(self, tmp_path, capsys):
+        paths = self._files(tmp_path, image=48)
+        out = tmp_path / "o.usjd"
+        assert main([
+            "solve", "--config", "builtin:desk_point", "--mode", "deconv_only",
+            "--das", paths["image"], "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference grid ImagingGrid(nz=96, nx=48,")
+        assert "differs from the run config's grid ImagingGrid(nz=96, nx=64," in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_reconstruction_refuses_it_in_every_mode(self, tmp_path, mode):
+        from pwrecon import pipeline
+        from pwrecon.config import load_run_config
+
+        cfg = load_run_config("builtin:desk_point", mode=mode)
+        y_das = read_container(self._files(tmp_path, image=48)["image"], "rfimage")
+        with pytest.raises(ValueError, match="reference grid .* differs from the run config's"):
+            pipeline.run_reconstruction(cfg, None, None, y_das=y_das)

@@ -555,20 +555,23 @@ class TestElementGeometry:
         every = list(element_geometry(probe, grid, tx, inst["apod"]))
         aperture = list(element_geometry(probe, grid, tx, inst["apod"], aperture_only=True))
         assert len(every) == len(aperture) == probe.num_elements
-        for elem_x, (columns, tau, weight), (pixels, tau_in, weight_in) in zip(
+        for elem_x, (whole, tau, weight), (span, tau_in, weight_in) in zip(
             probe.element_positions, every, aperture
         ):
-            np.testing.assert_array_equal(columns, np.arange(grid.num_pixels))
+            assert whole == slice(0, grid.num_pixels)
             np.testing.assert_array_equal(
                 tau, propagation_delay(pixel, elem_x, tx, probe.sound_speed)
             )
             np.testing.assert_array_equal(
                 weight, apodization_weight(pixel, elem_x, inst["apod"])
             )
-            # a hanning window is positive throughout the aperture
-            np.testing.assert_array_equal(pixels, np.flatnonzero(weight > 0.0))
-            np.testing.assert_array_equal(tau_in, tau[pixels])
-            np.testing.assert_array_equal(weight_in, weight[pixels])
+            # whole grid columns; every weight outside the span is zero, and
+            # within it, outside the aperture too
+            assert span.start % grid.nz == 0 and span.stop % grid.nz == 0
+            assert not weight[: span.start].any() and not weight[span.stop :].any()
+            np.testing.assert_array_equal(tau_in, tau[span])
+            np.testing.assert_array_equal(weight_in, weight[span])
+            assert np.all(weight_in[weight[span] == 0.0] == 0.0)
 
 
 def _assert_canonical(mat):
