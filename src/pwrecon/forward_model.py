@@ -163,27 +163,30 @@ def element_geometry(probe, grid, tx, apod, aperture_only=False):
     hold every pixel within it (z > 0 and an offset of at most one
     half-width), as the aperture widens with depth. Every weight of the
     span outside the aperture is exactly zero.
+
+    The receive leg and the window depend only on a pixel's depth and its
+    distance |x - e| from the element, so they are computed once per depth
+    and distinct distance, as two tables that each element's grid columns
+    gather their rows from. Each entry is the per-pixel expression on the
+    same float64 inputs, as (-a)**2 == a**2 and |-a| == a.
     """
-    nz = grid.nz
-    z = np.tile(grid.z_positions, grid.nx)
-    x = np.repeat(grid.x_positions, nz)
+    nz, z = grid.nz, grid.z_positions
     c = probe.sound_speed
-    # the terms no element changes
-    tau_t = _transmit_leg((z, x), tx, c)
-    z_squared = z**2
-    positive = z > 0
+    tau_t = _transmit_leg((np.tile(z, grid.nx), np.repeat(grid.x_positions, nz)), tx, c)
     half = z / (2.0 * apod.f_number)
-    elements = probe.element_positions
-    spans = [slice(0, grid.num_pixels)] * len(elements)
+    offset = grid.x_positions - probe.element_positions[:, None]
+    distance, row = np.unique(np.abs(offset), return_inverse=True)
+    row = row.reshape(offset.shape)  # element, grid column -> table row
+    receive = _receive_leg(z**2, distance[:, None], c)
+    window = _weight(*_within_aperture(z > 0, distance[:, None], half), apod)
+    spans = [slice(0, grid.num_pixels)] * len(offset)
     if aperture_only:
-        _, within = _within_aperture(True, grid.x_positions - elements[:, None], half[-1])
+        _, within = _within_aperture(True, offset, half[-1])
         first, count = within.argmax(axis=1), within.sum(axis=1)
         spans = [slice(a * nz, (a + k) * nz) for a, k in zip(first, count)]
-    for elem_x, span in zip(elements, spans):
-        offset = x[span] - elem_x
-        d, inside = _within_aperture(positive[span], offset, half[span])
-        tau = tau_t[span] + _receive_leg(z_squared[span], offset, c)
-        yield span, tau, _weight(d, inside, apod)
+    for rows, span in zip(row, spans):
+        rows = rows[span.start // nz : span.stop // nz]
+        yield span, tau_t[span] + receive[rows].ravel(), window[rows].ravel()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """System-matrix construction against a dense triple-loop oracle, delay and
 apodization closed forms, adjoint consistency, caching, time windows."""
 
+import hashlib
 import json
 import multiprocessing
 import struct
@@ -28,6 +29,7 @@ from pwrecon import (
     save_matrix,
     suggest_time_window,
 )
+from pwrecon import pipeline
 from pwrecon.config import get_builtin_config, run_config_from_dict
 from pwrecon.forward_model import WINDOWS, cached_system_matrix, element_geometry
 from pwrecon.pipeline import build_model
@@ -546,32 +548,60 @@ class TestSteeredTimeWindow:
                 assert probe.t0_offset < 0.0, where
 
 
+def _assert_matches_the_closed_forms(probe, grid, tx, apod):
+    """Every element's (span, tau, weight), whole grid and aperture only,
+    holds the bytes of ``propagation_delay`` and ``apodization_weight`` over
+    its span, in column order."""
+    zz, xx = np.meshgrid(grid.z_positions, grid.x_positions, indexing="ij")
+    pixel = (zz.reshape(-1, order="F"), xx.reshape(-1, order="F"))
+    every = list(element_geometry(probe, grid, tx, apod))
+    aperture = list(element_geometry(probe, grid, tx, apod, aperture_only=True))
+    assert len(every) == len(aperture) == probe.num_elements
+    for elem_x, (whole, tau, weight), (span, tau_in, weight_in) in zip(
+        probe.element_positions, every, aperture
+    ):
+        assert whole == slice(0, grid.num_pixels)
+        assert tau.tobytes() == propagation_delay(pixel, elem_x, tx, probe.sound_speed).tobytes()
+        assert weight.tobytes() == apodization_weight(pixel, elem_x, apod).tobytes()
+        # whole grid columns; every weight outside the span is zero
+        assert span.start % grid.nz == 0 and span.stop % grid.nz == 0
+        assert not weight[: span.start].any() and not weight[span.stop :].any()
+        assert tau_in.tobytes() == tau[span].tobytes()
+        assert weight_in.tobytes() == weight[span].tobytes()
+
+
 class TestElementGeometry:
     def test_kernel_matches_closed_forms_in_column_order(self, tiny_instance):
         inst = tiny_instance
-        probe, grid, tx = inst["probe"], inst["grid"], PlaneWaveTx(angle=0.2)
-        zz, xx = np.meshgrid(grid.z_positions, grid.x_positions, indexing="ij")
-        pixel = (zz.reshape(-1, order="F"), xx.reshape(-1, order="F"))
-        every = list(element_geometry(probe, grid, tx, inst["apod"]))
-        aperture = list(element_geometry(probe, grid, tx, inst["apod"], aperture_only=True))
-        assert len(every) == len(aperture) == probe.num_elements
-        for elem_x, (whole, tau, weight), (span, tau_in, weight_in) in zip(
-            probe.element_positions, every, aperture
-        ):
-            assert whole == slice(0, grid.num_pixels)
-            np.testing.assert_array_equal(
-                tau, propagation_delay(pixel, elem_x, tx, probe.sound_speed)
-            )
-            np.testing.assert_array_equal(
-                weight, apodization_weight(pixel, elem_x, inst["apod"])
-            )
-            # whole grid columns; every weight outside the span is zero, and
-            # within it, outside the aperture too
-            assert span.start % grid.nz == 0 and span.stop % grid.nz == 0
-            assert not weight[: span.start].any() and not weight[span.stop :].any()
-            np.testing.assert_array_equal(tau_in, tau[span])
-            np.testing.assert_array_equal(weight_in, weight[span])
-            assert np.all(weight_in[weight[span] == 0.0] == 0.0)
+        tx = PlaneWaveTx(angle=0.2)
+        _assert_matches_the_closed_forms(inst["probe"], inst["grid"], tx, inst["apod"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_elements=st.integers(2, 12),
+        nz=st.integers(1, 12),
+        nx=st.integers(1, 14),
+        # a row at z = 0 (no aperture), or rows at and above the surface
+        z_origin=st.just(0.0) | st.floats(-1.0e-3, 6.0e-3),
+        angle=st.floats(-0.4, 0.4),
+        apod=st.builds(
+            ApodizationSpec,
+            window=st.sampled_from(WINDOWS),
+            f_number=st.floats(0.25, 4.0),
+            taper=st.floats(0.0, 1.0) | st.floats(0.0, 1e-12) | st.just(5e-324),
+        ),
+    )
+    def test_tables_give_the_closed_forms_bytes(
+        self, num_elements, nz, nx, z_origin, angle, apod
+    ):
+        # the receive leg and the window come from tables over depth and
+        # distinct |x - e|; each entry must be the per-pixel expression
+        probe = ProbeGeometry(
+            num_elements=num_elements, pitch=0.3e-3, sound_speed=1540.0,
+            sampling_freq=20.832e6, center_freq=5.208e6,
+        )
+        grid = ImagingGrid.for_probe(probe, nz=nz, nx=nx, z_origin=z_origin)
+        _assert_matches_the_closed_forms(probe, grid, PlaneWaveTx(angle=angle), apod)
 
 
 def _assert_canonical(mat):
@@ -581,6 +611,43 @@ def _assert_canonical(mat):
     rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
     assert np.all(np.diff(rows * mat.shape[1] + mat.indices) > 0)
     assert np.all(mat.data != 0.0)
+
+
+class TestPinnedDigests:
+    """Phi's CSR arrays and the delay-and-sum image of the builtin channel
+    data, pinned byte for byte at steered transmits and on the 192x128 grid:
+    a geometry row gathered for the wrong element offset would show here."""
+
+    @pytest.mark.parametrize(
+        "name, angle, nz, nx, indptr, indices, data, das",
+        [
+            ("desk_point", 0.0, 96, 64,
+             "be1ea9aa1838", "1cb6cbc859e9", "7a35ecde9c1b", "6b1f77657eca"),
+            ("desk_point", -0.2, 96, 64,
+             "9947a4aa86b4", "d6555272fcca", "49d8a6006aa2", "2b52407798cb"),
+            ("desk_point", 0.15, 96, 64,
+             "845669c8b12c", "c6ceee6ec17c", "738ad973688f", "25a4a703c357"),
+            ("desk_cyst", -0.2, 96, 64,
+             "9947a4aa86b4", "d6555272fcca", "49d8a6006aa2", "121bbc6ad7cb"),
+            ("desk_cyst", 0.15, 96, 64,
+             "845669c8b12c", "c6ceee6ec17c", "738ad973688f", "b2cbe59236a6"),
+            ("desk_cyst", 0.0, 192, 128,
+             "fc1b3e6c6cdd", "5afcf939b7f9", "bc1abf2c44df", "8e6a9e4db18e"),
+        ],
+    )
+    def test_matrix_and_das(self, name, angle, nz, nx, indptr, indices, data, das, monkeypatch):
+        monkeypatch.delenv("PWRECON_CACHE_DIR", raising=False)  # build, never load
+        doc = get_builtin_config(name)
+        doc["tx_angles"] = [angle]
+        doc["grid"]["nz"], doc["grid"]["nx"] = nz, nx
+        cfg = run_config_from_dict(doc)
+        model = build_model(cfg)
+        ch = pipeline.simulate(cfg, pipeline.make_phantom(cfg), model)
+        image = pipeline.reference_das(model, ch)
+        mat = model.matrix
+        sha1 = [hashlib.sha1(a.tobytes()).hexdigest()[:12]
+                for a in (mat.indptr, mat.indices, mat.data, image.data)]
+        assert sha1 == [indptr, indices, data, das]
 
 
 class TestCsrAssembly:
