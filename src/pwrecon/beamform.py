@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acquisition import check_grid
 from .forward_model import element_geometry
 
 __all__ = [
@@ -98,9 +99,7 @@ def compound(images):
     if not images:
         raise ValueError("cannot compound an empty image list")
     grid = images[0].grid
-    for img in images[1:]:
-        if img.grid != grid:
-            raise ValueError("all images must share one grid")
+    check_grid(grid, "image 0", **{"image %d" % i: img for i, img in enumerate(images)})
     data = np.mean([img.data for img in images], axis=0)
     return RfImage(data=data, grid=grid)
 

@@ -9,12 +9,13 @@ apodization window. Rows are ordered sample-major within element
 (column = ix * nz + iz), i.e. Fortran-order flattening of (nz, nx) arrays.
 
 The assembled matrix is immutable and safe to share across threads. Each
-product runs scipy's compiled kernels, into its own output, on two fixed
-row blocks cut where the entries split in half: the second on one worker
-thread shared by every matrix. The cut depends only on the matrix, and the
-adjoint sums the two blocks' parts in one fixed order, so every machine,
-whatever its core count, gets the same bytes: the forward product those of
-the unsplit CSR product, the adjoint those of the two-block sum.
+product runs scipy's compiled kernels on the CSR's own arrays, into its own
+output, in two row blocks cut where the entries split in half: the second
+on one worker thread shared by every matrix. The cut depends only on the
+matrix, and the adjoint sums the two blocks' parts in one fixed order, so
+every machine, whatever its core count, gets the same bytes: the forward
+product those of the unsplit CSR product, the adjoint those of the
+two-block sum.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,15 +191,13 @@ def element_geometry(probe, grid, tx, apod, aperture_only=False):
 
 @dataclass(frozen=True)
 class SparseSystemMatrix:
-    """CSR weighting matrix with apodization folded in, plus its provenance."""
+    """CSR weighting matrix with apodization folded in, plus its geometry."""
 
     matrix: sp.csr_matrix  # (M*N, nz*nx)
     probe: ProbeGeometry
     grid: ImagingGrid
     tx: PlaneWaveTx
     apodization: ApodizationSpec
-    num_time_samples: int
-    fingerprint: str
 
     @property
     def num_rows(self):
@@ -213,6 +211,18 @@ class SparseSystemMatrix:
     def nnz(self):
         return self.matrix.nnz
 
+    @property
+    def num_time_samples(self):
+        """Samples M per element: each element owns M rows."""
+        return self.num_rows // self.probe.num_elements
+
+    @property
+    def fingerprint(self):
+        """``geometry_fingerprint`` of the geometry the matrix was built for."""
+        return geometry_fingerprint(
+            self.probe, self.grid, self.tx, self.num_time_samples, self.apodization
+        )
+
     def apply(self, x):
         """Forward product: image vector -> channel vector."""
         x = np.asarray(x, dtype=np.float64, order="C")
@@ -221,11 +231,16 @@ class SparseSystemMatrix:
                 "expected image vector of length %d, got shape %s"
                 % (self.num_cols, x.shape)
             )
-        top, bottom = self._blocks
-        cut = top[0]
-        out = np.zeros(self.num_rows)
-        pending = _POOL.submit(csr_matvec, *bottom, x, out[cut:])
-        csr_matvec(*top, x, out[:cut])
+        mat = self.matrix
+        (rows, cols), ptr = mat.shape, mat.indptr
+        # the top half is the rows up to the first row boundary at or past
+        # half the entries; the bottom half's offsets ptr[cut:] are absolute
+        cut = ptr.searchsorted(ptr[-1] // 2)
+        out = np.zeros(rows)
+        pending = _POOL.submit(
+            csr_matvec, rows - cut, cols, ptr[cut:], mat.indices, mat.data, x, out[cut:]
+        )
+        csr_matvec(cut, cols, ptr, mat.indices, mat.data, x, out[:cut])
         pending.result()
         return out
 
@@ -237,30 +252,18 @@ class SparseSystemMatrix:
                 "expected channel vector of length %d, got shape %s"
                 % (self.num_rows, y.shape)
             )
-        # a row block's CSR arrays are those of its transpose in CSC
-        (cut, cols, *top), (rows, _, *bottom) = self._blocks
+        # apply's halves; a row block's CSR arrays are those of its transpose in CSC
+        mat = self.matrix
+        (rows, cols), ptr = mat.shape, mat.indptr
+        cut = ptr.searchsorted(ptr[-1] // 2)
         out, part = np.zeros(cols), np.zeros(cols)
-        pending = _POOL.submit(csc_matvec, cols, rows, *bottom, y[cut:], part)
-        csc_matvec(cols, cut, *top, y[:cut], out)
+        pending = _POOL.submit(
+            csc_matvec, cols, rows - cut, ptr[cut:], mat.indices, mat.data, y[cut:], part
+        )
+        csc_matvec(cols, cut, ptr, mat.indices, mat.data, y[:cut], out)
         pending.result()
         out += part
         return out
-
-    @cached_property
-    def _blocks(self):
-        # rows up to the first row boundary at or past half the entries, and
-        # the rest
-        matrix = self.matrix
-        cut = int(np.searchsorted(matrix.indptr, matrix.nnz // 2))
-        return _row_block(matrix, 0, cut), _row_block(matrix, cut, matrix.shape[0])
-
-
-def _row_block(matrix, start, stop):
-    """Rows ``start`` to ``stop`` of CSR ``matrix`` as csr_matvec's leading
-    arguments: its shape, its indptr shifted to 0, views of indices and data."""
-    lo, hi = matrix.indptr[start], matrix.indptr[stop]
-    shifted = matrix.indptr[start : stop + 1] - lo
-    return stop - start, matrix.shape[1], shifted, matrix.indices[lo:hi], matrix.data[lo:hi]
 
 
 def matrix_geometry(probe, grid, tx, num_samples, apod):
@@ -364,15 +367,7 @@ def build_system_matrix(probe, grid, tx, num_samples, apod):
     indptr = np.zeros(shape[0] + 1, dtype=np.int32 if nnz < 2**31 else np.int64)
     np.cumsum(row_counts, out=indptr[1:])
     matrix = sp.csr_matrix((data, indices, indptr), shape=shape)
-    return SparseSystemMatrix(
-        matrix=matrix,
-        probe=probe,
-        grid=grid,
-        tx=tx,
-        apodization=apod,
-        num_time_samples=m_count,
-        fingerprint=geometry_fingerprint(probe, grid, tx, m_count, apod),
-    )
+    return SparseSystemMatrix(matrix=matrix, probe=probe, grid=grid, tx=tx, apodization=apod)
 
 
 def suggest_time_window(probe, grid, tx):

@@ -11,8 +11,9 @@ The metadata JSON carries dims and the geometry dataclasses as dicts
 (``dataclasses.asdict``), enough to rebuild the typed object; ``_KINDS``
 describes each float kind once. A system matrix is the "matrix" kind: its
 CSR arrays plus a geometry fingerprint that is re-derived and checked on
-every read. A reader may name the kind it expects and refuses any other.
-Writes are atomic (write to a temp file, then rename).
+every read, and dims that must be the geometry's: samples times elements
+rows, one column per pixel. A reader may name the kind it expects and
+refuses any other. Writes are atomic (write to a temp file, then rename).
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ _KINDS = {
     "rfimage": (RfImage, "data", {"grid": ImagingGrid}),
     "psf": (Psf, "kernel", {}),
     "phantom": (Phantom, "trf", {"grid": ImagingGrid, "annotations": TARGET_KINDS}),
+}
+
+# the geometry of a "matrix" container, as rebuilders like those of _KINDS
+_MATRIX_GEOMETRY = {
+    "probe": ProbeGeometry,
+    "grid": ImagingGrid,
+    "tx": PlaneWaveTx,
+    "apodization": forward_model.ApodizationSpec,
 }
 
 # kind -> dtypes of its payload arrays, in file order
@@ -127,29 +136,21 @@ def _encode(obj):
 def _decode(kind, meta, arrays):
     """Rebuild the typed object; raises KeyError, TypeError or ValueError."""
     if kind == "matrix":
-        probe = ProbeGeometry(**meta["probe"])
-        grid = ImagingGrid(**meta["grid"])
-        tx = PlaneWaveTx(**meta["tx"])
-        apod = forward_model.ApodizationSpec(**meta["apodization"])
+        geometry = {k: _from_meta(meta[k], rb) for k, rb in _MATRIX_GEOMETRY.items()}
+        probe, grid, tx, apod = geometry.values()
         num_samples = meta["num_samples"]
-        fingerprint = forward_model.geometry_fingerprint(
-            probe, grid, tx, num_samples, apod
-        )
+        fingerprint = forward_model.geometry_fingerprint(probe, grid, tx, num_samples, apod)
         if fingerprint != meta["fingerprint"]:
             raise ValueError("fingerprint mismatch")
+        # rows are num_samples per element, columns one per pixel
+        dims = [num_samples * probe.num_elements, grid.num_pixels]
+        if meta["dims"] != dims:
+            raise ValueError("dims %s, expected %s for the geometry" % (meta["dims"], dims))
         indptr, indices, weights = arrays
-        matrix = sp.csr_matrix((weights, indices, indptr), shape=tuple(meta["dims"]))
+        matrix = sp.csr_matrix((weights, indices, indptr), shape=tuple(dims))
         # an index out of range would make every product read out of bounds
         matrix.check_format(full_check=True)
-        return forward_model.SparseSystemMatrix(
-            matrix=matrix,
-            probe=probe,
-            grid=grid,
-            tx=tx,
-            apodization=apod,
-            num_time_samples=num_samples,
-            fingerprint=fingerprint,
-        )
+        return forward_model.SparseSystemMatrix(matrix=matrix, **geometry)
     (payload,) = arrays
     dims = meta["dims"]
     if not dims or int(np.prod(dims)) != payload.size:

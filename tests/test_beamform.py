@@ -1,6 +1,7 @@
 """Delay-and-sum, compounding, envelope detection, and log compression."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -238,7 +239,8 @@ class TestCompound:
         from pwrecon import ImagingGrid
 
         other = ImagingGrid.for_probe(tiny_probe, nz=16, nx=16, z_origin=3e-3)
-        with pytest.raises(ValueError):
+        message = "image 1 grid %s differs from image 0 grid %s" % (other, tiny_grid)
+        with pytest.raises(ValueError, match=re.escape(message)):
             compound(
                 [
                     RfImage(np.zeros(tiny_grid.shape), tiny_grid),

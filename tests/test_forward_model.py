@@ -275,32 +275,40 @@ class TestProducts:
             model.apply_adjoint(np.zeros(model.num_rows - 1))
 
 
+def _cut(model):
+    """The row where every product splits Φ: the first row boundary of its
+    indptr at or past half the entries."""
+    indptr = model.matrix.indptr
+    return indptr.searchsorted(indptr[-1] // 2)
+
+
 def _two_block_adjoint(model, y):
-    """The adjoint as the blocks define it, on the calling thread: scipy's
-    transposed product of the rows above the cut plus that of the rest."""
-    (cut, *_), _ = model._blocks
+    """The adjoint as the two blocks define it, on the calling thread:
+    scipy's transposed product of the rows above the cut plus that of the
+    rest."""
+    cut = _cut(model)
     mat = model.matrix
     return mat[:cut].T @ y[:cut] + mat[cut:].T @ y[cut:]
 
 
 class TestRowBlocks:
-    """Each product splits into two fixed row blocks, the second computed on
-    the product worker thread."""
+    """Each product splits into two row blocks of the CSR's own arrays, cut
+    on every call, the second computed on the product worker thread."""
 
-    def test_blocks_are_views_built_once(self, tiny_instance):
-        model = replace(tiny_instance["model"])  # a copy with no blocks built yet
-        blocks = model._blocks
-        assert model._blocks is blocks
+    def test_products_leave_the_model_unchanged(self, tiny_instance, rng):
+        # nothing is cached on the model: each product cuts the CSR afresh
+        model = replace(tiny_instance["model"])
+        before = dict(vars(model))
         mat = model.matrix
-        (cut, cols, top_ptr, top_idx, top_data), (rows, cols_b, ptr, idx, data) = blocks
-        assert (cut + rows, cols, cols_b) == (model.num_rows, model.num_cols, model.num_cols)
-        assert top_ptr[-1] >= model.nnz // 2 >= top_ptr[-1] - np.diff(mat.indptr).max()
-        for view, whole in ((top_idx, mat.indices), (idx, mat.indices),
-                            (top_data, mat.data), (data, mat.data)):
-            assert np.shares_memory(view, whole)
-        assert np.array_equal(np.concatenate((top_ptr, ptr[1:] + top_ptr[-1])), mat.indptr)
-        assert np.array_equal(np.concatenate((top_idx, idx)), mat.indices)
-        assert np.array_equal(np.concatenate((top_data, data)), mat.data)
+        arrays = (mat.indptr, mat.indices, mat.data)
+        cut = _cut(model)
+        assert 0 < cut < model.num_rows
+        assert mat.indptr[cut] >= model.nnz // 2 >= mat.indptr[cut] - np.diff(mat.indptr).max()
+        model.apply(rng.standard_normal(model.num_cols))
+        model.apply_adjoint(rng.standard_normal(model.num_rows))
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[k] is v for k, v in before.items())
+        assert all(a is b for a, b in zip(arrays, (mat.indptr, mat.indices, mat.data)))
 
     def test_matrix_is_frozen_and_a_replacement_gets_its_own_blocks(self, tiny_instance, rng):
         model = replace(tiny_instance["model"])
@@ -335,8 +343,8 @@ class TestRowBlocks:
         dense = np.zeros((64, model.num_cols))
         dense[row] = rng.standard_normal(model.num_cols)
         model = replace(model, matrix=sp.csr_matrix(dense))
-        (cut, *_), (*_, bottom_data) = model._blocks
-        assert (cut, bottom_data.size) == (row + 1, 0)
+        cut = _cut(model)
+        assert (cut, model.nnz - model.matrix.indptr[cut]) == (row + 1, 0)
         x, y = rng.standard_normal(model.num_cols), rng.standard_normal(64)
         assert np.array_equal(model.apply(x), model.matrix @ x)
         assert np.array_equal(model.apply_adjoint(y), y[row] * dense[row])
@@ -347,8 +355,8 @@ class TestRowBlocks:
         t0, num = suggest_time_window(tiny_probe, grid, tiny_tx)
         probe = replace(tiny_probe, t0_offset=t0)
         model = build_system_matrix(probe, grid, tiny_tx, num, ApodizationSpec())
-        (cut, *_), (rows, *_) = model._blocks
-        assert (model.nnz, cut, rows) == (0, 0, model.num_rows)
+        cut = _cut(model)
+        assert (model.nnz, cut, model.num_rows - cut) == (0, 0, model.num_rows)
         assert np.array_equal(model.apply(np.ones(1)), np.zeros(model.num_rows))
         assert np.array_equal(model.apply_adjoint(np.ones(model.num_rows)), np.zeros(1))
 

@@ -3,7 +3,7 @@
 import json
 import struct
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -102,6 +102,17 @@ def _edit_meta(path, edit):
     )
 
 
+def _write_cropped(model, path, drop):
+    """Write ``model`` with one element's worth of rows ("rows") or one grid
+    column of pixels ("columns") dropped from the end of its CSR, under the
+    full matrix's num_samples and fingerprint."""
+    mat = model.matrix
+    cropped = mat[: -model.probe.num_elements] if drop == "rows" else mat[:, : -model.grid.nz]
+    write_container(replace(model, matrix=cropped), path)
+    full = {"num_samples": model.num_time_samples, "fingerprint": model.fingerprint}
+    _edit_meta(path, lambda meta: meta.update(full))
+
+
 class TestOlderContainers:
     """Containers written while Psf carried grid spacings and ApodizationSpec
     a minimum half-aperture."""
@@ -190,6 +201,23 @@ class TestContainerErrors:
         with pytest.raises(StructureError, match="indices"):
             read_container(path)
 
+    @pytest.mark.parametrize("drop", ["rows", "columns"])
+    def test_matrix_shape_other_than_the_geometry_is_refused(self, tiny_instance, tmp_path, drop):
+        path = tmp_path / "m.usjd"
+        _write_cropped(tiny_instance["model"], path, drop)
+        with pytest.raises(StructureError, match="dims .* expected \\[512, 256\\]"):
+            load_matrix(path)
+
+    def test_cache_entry_of_another_shape_is_rebuilt(self, tiny_instance, tmp_path, monkeypatch):
+        inst = tiny_instance
+        monkeypatch.setenv("PWRECON_CACHE_DIR", str(tmp_path))
+        args = (inst["probe"], inst["grid"], inst["tx"], inst["num_samples"], inst["apod"])
+        cached_system_matrix(*args)
+        (path,) = tmp_path.glob("sysmat_*.usjd")
+        _write_cropped(inst["model"], path, "rows")
+        assert cached_system_matrix(*args).matrix.shape == (512, 256)
+        assert load_matrix(path).matrix.shape == (512, 256)
+
     def test_unknown_object_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_container(object(), tmp_path / "x.usjd")
@@ -225,7 +253,7 @@ def _assert_same(back, obj):
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(other, part), getattr(value, part))
             assert other.shape == value.shape
-        elif name not in ("_tf_cache", "_blocks"):
+        elif name != "_tf_cache":
             assert other == value
 
 
