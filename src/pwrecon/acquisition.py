@@ -21,6 +21,7 @@ __all__ = [
     "TARGET_KINDS",
     "Phantom",
     "check_grid",
+    "check_channel_probe",
     "disc_mask",
     "make_point_phantom",
     "make_cyst_phantom",
@@ -214,6 +215,18 @@ def check_grid(grid, against, **items):
             raise ValueError(
                 "%s grid %s differs from %s grid %s" % (name, item.grid, against, grid)
             )
+
+
+def check_channel_probe(ch, probe, against, *pairs):
+    """Refuse channel data ``ch`` recorded with another probe than ``probe``
+    (center_freq only labels, and the sample window is the data's) or that
+    differ in a further ``(name, data value, expected value)`` pair; the
+    ValueError names each field that differs and ``against``."""
+    names = ("num_elements", "pitch", "sound_speed", "sampling_freq")
+    pairs += tuple((f, getattr(ch.probe, f), getattr(probe, f)) for f in names)
+    diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
+    if diffs:
+        raise ValueError("channel data differ from %s in %s" % (against, "; ".join(diffs)))
 
 
 def _nearest_node(grid, z, x):

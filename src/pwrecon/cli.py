@@ -197,7 +197,7 @@ def main(argv=None):
     except OSError as err:  # a path that is missing or cannot be opened
         print("error: %s" % err, file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ContainerError, ConfigError, ValueError) as err:
+    except (ContainerError, ConfigError, ValueError, OverflowError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INVALID
     except SolverError as err:

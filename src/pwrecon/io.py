@@ -13,7 +13,8 @@ describes each float kind once. A system matrix is the "matrix" kind: its
 CSR arrays plus a geometry fingerprint that is re-derived and checked on
 every read, and dims that must be the geometry's: samples times elements
 rows, one column per pixel. A reader may name the kind it expects and
-refuses any other. Writes are atomic (write to a temp file, then rename).
+refuses any other. Writes are atomic (write to a temp file of its own per
+writing process and thread, then rename).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import contextlib
 import json
 import os
 import struct
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -167,7 +169,7 @@ def write_container(obj, path):
     kind, meta, arrays = _encode(obj)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     kind_bytes = kind.encode("ascii")
-    tmp = str(path) + ".tmp"
+    tmp = "%s.%d.%d.tmp" % (path, os.getpid(), threading.get_ident())
     try:
         with open(tmp, "wb") as f:
             f.write(CONTAINER_MAGIC)

@@ -10,6 +10,7 @@ from .acquisition import (
     TARGET_KINDS,
     Phantom,
     PointTarget,
+    check_channel_probe,
     check_grid,
     make_cyst_phantom,
     make_point_phantom,
@@ -28,7 +29,7 @@ from .metrics import (
     histogram_match,
 )
 from .psf import Psf, conv_apply, make_parametric_psf
-from .solver import check_channel_probe, observations_needed, solve
+from .solver import observations_needed, solve
 
 __all__ = [
     "build_model",
@@ -134,7 +135,9 @@ def simulate(cfg, phantom, model):
 
 
 def reference_das(model, ch):
-    """Delay-and-sum image on the model's grid with its apodization."""
+    """Delay-and-sum image on the model's grid with its apodization; data
+    recorded with another probe than the model's are refused."""
+    check_channel_probe(ch, model.probe, "the system matrix")
     return das_beamform(ch, model.grid, model.apodization)
 
 

@@ -26,7 +26,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .acquisition import ChannelData, check_grid
+from .acquisition import ChannelData, check_channel_probe, check_grid
 from .beamform import RfImage
 from .psf import conv_apply, deconv_update
 
@@ -44,7 +44,6 @@ __all__ = [
     "solve",
     "mode_fields",
     "observations_needed",
-    "check_channel_probe",
 ]
 
 MODES = ("joint", "beamform_only", "deconv_only", "sequential")
@@ -298,27 +297,33 @@ def _conjugate_residual(apply_a, x0, r0, threshold, max_iter, keep=((), ())):
     return x, r, norms
 
 
-class _NormalEquations:
-    """The z update's normal equations A z = b of one solve, with
-    A = gamma_b Phi^T Phi + beta I and b = gamma_b Phi^T y_ch + beta u + lam2,
+class _ChannelTerm:
+    """One solve's channel-data term gamma_b/2 ||y - Phi x||^2 and the
+    normal equations A z = b of its z updates, with
+    A = gamma_b Phi^T Phi + beta I and b = gamma_b Phi^T y + beta u + lam2,
     and what each of their inner solves leaves for the next.
 
-    Only u and lam2 change from solve to solve, so gamma_b Phi^T y_ch is
-    taken once, at one adjoint product. Each solve starts from the
-    combination of the last ``_START_DEPTH`` solutions z_j with the smallest
-    residual, from the pairs (z_j, A z_j) in ``history``; a nonzero ``z0``
-    seeds them at one product of A. The start then loses its residual's
-    component along the kept search directions: row j of ``kept_u`` is a
-    direction and row j of ``kept_c`` its product with A, so A U = C, and the
-    ``kept`` rows of C are orthonormal. The first solves fill the
-    ``columns`` rows, and neither start takes a product of A. ``capped``
-    counts the solves that ``inner.max_iter`` stopped above tolerance.
+    It holds the shared system matrix, the channel data ``y`` as the solve
+    normalized them, and the products made through the matrix, counted here
+    so that the shared matrix keeps no per-solve state. Only u and lam2
+    change from solve to solve, so gamma_b Phi^T y is taken once, at one
+    adjoint product. Each solve starts from the combination of the last
+    ``_START_DEPTH`` solutions z_j with the smallest residual, from the
+    pairs (z_j, A z_j) in ``history``; a nonzero ``z0`` seeds them at one
+    product of A. The start then loses its residual's component along the
+    kept search directions: row j of ``kept_u`` is a direction and row j of
+    ``kept_c`` its product with A, so A U = C, and the ``kept`` rows of C
+    are orthonormal. The first solves fill the ``columns`` rows, and neither
+    start takes a product of A. ``capped`` counts the solves that
+    ``inner.max_iter`` stopped above tolerance.
     """
 
-    def __init__(self, model, y_ch, gamma_b, beta, columns, z0=None):
-        self.model, self.gamma_b, self.beta = model, gamma_b, beta
-        y_vec = np.asarray(y_ch, dtype=np.float64).reshape(-1)
-        self.back_projection = gamma_b * model.apply_adjoint(y_vec)
+    def __init__(self, model, y, gamma_b, beta, columns, z0=None):
+        self.model, self.matrix = model, model.matrix
+        self.y = np.asarray(y, dtype=np.float64).reshape(-1)
+        self.gamma_b, self.beta = gamma_b, beta
+        self.forward = self.adjoint = 0
+        self.back_projection = gamma_b * self.apply_adjoint(self.y)
         n = self.back_projection.size
         self.history = deque(maxlen=_START_DEPTH)
         self.kept_u, self.kept_c = np.empty((columns, n)), np.empty((columns, n))
@@ -328,8 +333,16 @@ class _NormalEquations:
             v = z0.reshape(-1, order="F")
             self.history.append((v, self._apply(v)))
 
+    def apply(self, x):
+        self.forward += 1
+        return self.model.apply(x)
+
+    def apply_adjoint(self, y):
+        self.adjoint += 1
+        return self.model.apply_adjoint(y)
+
     def _apply(self, v):
-        return self.gamma_b * self.model.apply_adjoint(self.model.apply(v)) + self.beta * v
+        return self.gamma_b * self.apply_adjoint(self.apply(v)) + self.beta * v
 
     def solve(self, u, lam2, inner):
         """z solving the equations for (u, lam2) to the inner tolerance, and
@@ -392,10 +405,10 @@ def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, *, equations=Non
 
     Solved on the normal equations A z = rhs, A = gamma_b Phi^T Phi + beta I,
     to the inner gradient tolerance. With gamma_b = 0 the exact proximal
-    point u + lam2/beta is returned. ``equations`` (a ``_NormalEquations``
+    point u + lam2/beta is returned. ``equations`` (a ``_ChannelTerm``
     of the same model, y_ch, gamma_b and beta) carries a solve's
     back-projection and inner starts from one update to the next; without
-    it a fresh set is built, which starts from zero and keeps no direction.
+    it a fresh term is built, which starts from zero and keeps no direction.
 
     Returns (z, gradient_norms).
     """
@@ -404,7 +417,7 @@ def beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner, *, equations=Non
     if gamma_b == 0.0:
         return u + lam2 / beta, [0.0]
     if equations is None:
-        equations = _NormalEquations(model, y_ch, gamma_b, beta, 0)
+        equations = _ChannelTerm(model, y_ch, gamma_b, beta, 0)
     return equations.solve(u, lam2, inner)
 
 
@@ -421,47 +434,6 @@ def multiplier_update(state, beta):
     state.lam1 = state.lam1 + beta * (state.u - state.w)
     state.lam2 = state.lam2 + beta * (state.u - state.z)
     return state
-
-
-def check_channel_probe(ch, probe, against, *pairs):
-    """Refuse channel data ``ch`` recorded with another probe than ``probe``
-    (center_freq only labels, and the sample window is the data's) or that
-    differ in a further ``(name, data value, expected value)`` pair; the
-    ValueError names each field that differs and ``against``."""
-    names = ("num_elements", "pitch", "sound_speed", "sampling_freq")
-    pairs += tuple((f, getattr(ch.probe, f), getattr(probe, f)) for f in names)
-    diffs = ["%s %r vs %r" % p for p in pairs if p[1] != p[2]]
-    if diffs:
-        raise ValueError("channel data differ from %s in %s" % (against, "; ".join(diffs)))
-
-
-class _ChannelTerm:
-    """One solve's channel-data term: the shared system matrix, the channel
-    data ``y`` as the solve normalized them, and the products made through
-    the matrix, counted here so that the shared matrix keeps no per-solve
-    state. Channel data must share the probe, the transmit and the sample
-    window of the matrix's weights."""
-
-    def __init__(self, model, ch, scale):
-        check_channel_probe(
-            ch,
-            model.probe,
-            "the system matrix",
-            ("tx", ch.tx, model.tx),
-            ("num_samples", ch.num_samples, model.num_time_samples),
-            ("t0_offset", ch.probe.t0_offset, model.probe.t0_offset),
-        )
-        self.model, self.matrix = model, model.matrix
-        self.y = ch.to_vector() / scale
-        self.forward = self.adjoint = 0
-
-    def apply(self, x):
-        self.forward += 1
-        return self.model.apply(x)
-
-    def apply_adjoint(self, y):
-        self.adjoint += 1
-        return self.model.apply_adjoint(y)
 
 
 def _lap(times, step, start):
@@ -511,6 +483,15 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     grid = model.grid if model is not None else y_das.grid
     shape = grid.shape
     check_grid(grid, "the system matrix", reference=y_das if needs["das"] else None)
+    if needs["channel"]:
+        check_channel_probe(
+            y_ch,
+            model.probe,
+            "the system matrix",
+            ("tx", y_ch.tx, model.tx),
+            ("num_samples", y_ch.num_samples, model.num_time_samples),
+            ("t0_offset", y_ch.probe.t0_offset, model.probe.t0_offset),
+        )
     x0 = np.zeros(shape) if x0 is None else np.asarray(x0, dtype=np.float64)
     if x0.shape != shape:
         raise ValueError("x0 shape does not match grid")
@@ -519,9 +500,13 @@ def solve(cfg, model=None, y_ch=None, psf=None, y_das=None, x0=None):
     # normalize observations to unit peak so mu has a consistent scale
     peak = float(np.max(np.abs(y_das.data if needs["das"] else y_ch.samples)))
     scale = peak if cfg.normalize and peak > 0 else 1.0
-    channel = _ChannelTerm(model, y_ch, scale) if needs["channel"] else None
     yd = y_das.data / scale if needs["das"] else np.zeros(shape)
     init = x0 / scale
+    channel = None
+    if needs["channel"]:
+        channel = _ChannelTerm(
+            model, y_ch.to_vector() / scale, cfg.gamma_b, cfg.beta, _BASIS_COLUMNS, z0=init
+        )
     state = SolverState(
         u=init.copy(), w=init.copy(), z=init.copy(), lam1=np.zeros(shape), lam2=np.zeros(shape)
     )
@@ -546,14 +531,7 @@ def _admm(cfg, state, tracked, channel, psf, yd):
     """The ADMM cycle on ``state`` from its initial iterates, with the
     objective taken at the ``tracked`` one; returns (converged, iterations).
     ``channel`` is None when gamma_b = 0."""
-    yc = equations = None
-    if channel is not None:
-        # the z updates' normal equations: Phi^T y_ch once, and each inner
-        # solve started from the earlier ones
-        yc = channel.y
-        equations = _NormalEquations(
-            channel, yc, cfg.gamma_b, cfg.beta, _BASIS_COLUMNS, z0=state.z
-        )
+    yc = None if channel is None else channel.y
     times = state.step_seconds
     clock = time.perf_counter()
     obj0 = objective(tracked(state), yd, psf, channel, yc, cfg)
@@ -570,7 +548,7 @@ def _admm(cfg, state, tracked, channel, psf, yd):
         clock = _lap(times, "u", clock)
         state.z, norms = beamform_update(
             channel, yc, state.u, state.lam2, cfg.gamma_b, cfg.beta, cfg.inner,
-            equations=equations,
+            equations=channel,
         )
         state.inner_iterations.append(len(norms) - 1)
         clock = _lap(times, "z", clock)
@@ -604,7 +582,7 @@ def _admm(cfg, state, tracked, channel, psf, yd):
 
     if channel is not None:
         state.forward_products, state.adjoint_products = channel.forward, channel.adjoint
-        state.inner_capped, state.basis_columns = equations.capped, equations.kept
+        state.inner_capped, state.basis_columns = channel.capped, channel.kept
     return converged, it
 
 

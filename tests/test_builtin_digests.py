@@ -1,6 +1,6 @@
 """tools/builtin_digests.py prints one entry per builtin solve, and the
-desk_point entries are pinned: a change that moves a builtin image updates
-the pin and says why."""
+desk_point and desk_cyst entries are pinned: a change that moves a builtin
+image updates the pin and says why."""
 
 import json
 import os
@@ -24,14 +24,26 @@ DESK_POINT = {
     },
 }
 
+DESK_CYST = {
+    "desk_cyst das": {"sha1": "977954b678aa"},
+    "desk_cyst joint": {
+        "iterations": [20], "products": 272, "inner_capped": 0, "basis_columns": 24,
+        "sha1": "0999bf71bba4",
+    },
+    "desk_cyst sequential": {
+        "iterations": [2, 29], "products": 58, "inner_capped": 0, "basis_columns": 24,
+        "sha1": "1f819799ea97",
+    },
+}
 
-def _digests(*setup):
-    """The tool's desk_point JSON, printed by a Python that first runs the
-    ``setup`` statements."""
+
+def _digests(*setup, name="desk_point"):
+    """The tool's JSON for builtin config ``name``, printed by a Python that
+    first runs the ``setup`` statements."""
     tool = str(ROOT / "tools" / "builtin_digests.py")
     code = "; ".join(setup + (
         "import runpy, sys",
-        "sys.argv[1:] = ['desk_point']",
+        "sys.argv[1:] = [%r]" % name,
         "runpy.run_path(%r, run_name='__main__')" % tool,
     ))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -46,6 +58,10 @@ def test_prints_counts_and_digest_of_each_solve_of_one_config():
     doc = _digests()
     assert list(doc) == list(DESK_POINT)
     assert doc == DESK_POINT
+
+
+def test_desk_cyst_digests():
+    assert _digests(name="desk_cyst") == DESK_CYST
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")

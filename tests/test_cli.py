@@ -23,6 +23,8 @@ from pwrecon import (
 from pwrecon.cli import _build_parser, main
 from pwrecon.solver import MODES
 
+from conftest import channel_data
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -706,6 +708,45 @@ class TestChannelGeometryMismatch:
         ]) == 4
         err = capsys.readouterr().err
         assert "channel data differ from the run config in pitch 0.0002 vs 0.0003" in err
+        assert not out.exists()
+
+    def test_reference_das_refuses_another_probe(self, tiny_instance, rng):
+        from pwrecon import pipeline
+
+        model = tiny_instance["model"]
+        ch = channel_data(model, rng.standard_normal(model.num_rows))
+        # the label and the sample window are the data's own
+        relabelled = replace(ch.probe, center_freq=4e6, t0_offset=1e-6)
+        pipeline.reference_das(model, replace(ch, probe=relabelled))
+        other = replace(ch, probe=replace(ch.probe, pitch=0.2e-3))
+        expected = "channel data differ from the system matrix in pitch 0.0002 vs 0.0003"
+        with pytest.raises(ValueError, match=expected):
+            pipeline.reference_das(model, other)
+
+
+# finite config values whose arithmetic overflows a float or an int; at a
+# sound speed of 1e308 numpy first warns of the overflow it meets on the way
+_OVERFLOWING = [
+    pytest.param(lambda doc: doc["phantom"].update(snr_db=-4000), id="snr_db"),
+    pytest.param(
+        lambda doc: doc["phantom"]["blur"].update(lateral_sigma=1e308), id="blur_lateral_sigma"
+    ),
+    pytest.param(
+        lambda doc: doc["probe"].update(sound_speed=1e308),
+        id="sound_speed",
+        marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+    ),
+]
+
+
+class TestOverflowingValues:
+    @pytest.mark.parametrize("edit", _OVERFLOWING)
+    def test_simulate_exits_4_with_an_error_line(self, small_config, tmp_path, capsys, edit):
+        config = _write_config(small_config, tmp_path, edit)
+        out = tmp_path / "ch.usjd"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 """Container round trips, error taxonomy, and PICMUS-layout ingestion."""
 
 import json
+import os
 import struct
 import sys
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -77,6 +79,39 @@ class TestContainerRoundTrip:
         back = read_container(tmp_path / "ph.usjd")
         assert isinstance(back, Phantom)
         assert back.annotations[0].iz == 4
+
+    def test_concurrent_writers_of_one_path_all_succeed(
+        self, tiny_grid, rng, tmp_path, monkeypatch
+    ):
+        # every writer has written its temp file before any renames it, the
+        # interleaving under which writers sharing one temp name collide
+        img = RfImage(rng.standard_normal(tiny_grid.shape), tiny_grid)
+        path = tmp_path / "img.usjd"
+        writers = 4
+        barrier = threading.Barrier(writers, timeout=30)
+        rename = os.replace
+
+        def rename_together(src, dst):
+            barrier.wait()
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", rename_together)
+        errors = []
+
+        def write():
+            try:
+                write_container(img, path)
+            except Exception as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=write) for _ in range(writers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert np.array_equal(read_container(path, "rfimage").data, img.data.astype("<f4"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.usjd"]
 
     def test_matrix_delegates_to_cache_format(self, tiny_instance, tmp_path):
         from pwrecon import SparseSystemMatrix

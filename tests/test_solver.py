@@ -20,7 +20,7 @@ from pwrecon import (
     sparsity_update,
 )
 from pwrecon.config import solver_config
-from pwrecon.solver import SolverState, _conjugate_residual, _NormalEquations
+from pwrecon.solver import SolverState, _ChannelTerm, _conjugate_residual
 
 from conftest import channel_data
 
@@ -123,7 +123,7 @@ class TestBeamformUpdate:
         _, norms = beamform_update(
             model, y_ch, u, lam2, 0.5, 2.0,
             InnerSettings(max_iter=40, tol=1e-14),
-            equations=_NormalEquations(model, y_ch, 0.5, 2.0, 0, z0=z0),
+            equations=_ChannelTerm(model, y_ch, 0.5, 2.0, 0, z0=z0),
         )
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -154,7 +154,7 @@ class TestBeamformUpdate:
         z, norms = beamform_update(model, y_ch, u, lam2, gamma_b, beta, inner)
         z_bp, norms_bp = beamform_update(
             model, y_ch, u, lam2, gamma_b, beta, inner,
-            equations=_NormalEquations(model, y_ch, gamma_b, beta, 0),
+            equations=_ChannelTerm(model, y_ch, gamma_b, beta, 0),
         )
         assert np.array_equal(z, z_bp)
         assert norms == norms_bp
@@ -915,7 +915,7 @@ class TestRecycledStart:
         phi = model.matrix.toarray()
         normal = gamma_b * phi.T @ phi + beta * np.eye(phi.shape[1])
         y_ch = rng.standard_normal(model.num_rows)
-        equations = _NormalEquations(
+        equations = _ChannelTerm(
             model, y_ch, gamma_b, beta, solver_mod._BASIS_COLUMNS
         )
         filled = []
