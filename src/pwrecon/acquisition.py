@@ -303,7 +303,10 @@ def simulate_channel_data(phantom, model, snr_db, seed):
     samples = clean.reshape((m, n), order="F").copy()
     if snr_db is not None:
         signal_power = float(np.mean(clean**2))
-        sigma = np.sqrt(signal_power * 10.0 ** (-snr_db / 10.0))
+        try:
+            sigma = np.sqrt(signal_power * 10.0 ** (-snr_db / 10.0))
+        except OverflowError:
+            raise OverflowError("snr_db %g: its noise power ratio overflows" % snr_db) from None
         rng = np.random.default_rng(seed)
         samples += sigma * rng.standard_normal(samples.shape)
     return ChannelData(samples=samples, tx=model.tx, probe=model.probe)

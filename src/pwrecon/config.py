@@ -216,8 +216,6 @@ def solver_config(block, path="solver", *, stage=False):
     if stage:
         del types["mode"], types["stage2"]
     values = _read(block, types, path)
-    if "stage2" in values and values.get("mode") != "sequential":
-        raise ConfigError("key 'stage2' in %s: only a sequential block has one" % path)
     values.pop("preset", None)
     values.update(mode_fields(values.get("mode", mode), values))
     return _construct(SolverConfig, values, path)

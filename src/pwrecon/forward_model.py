@@ -266,20 +266,17 @@ class SparseSystemMatrix:
         return out
 
 
-def matrix_geometry(probe, grid, tx, num_samples, apod):
-    """Everything a system matrix depends on, as stored in its container."""
-    return {
+def geometry_fingerprint(probe, grid, tx, num_samples, apodization):
+    """sha256 of the JSON (sorted keys) of everything a system matrix depends
+    on, its geometry dataclasses as dicts and its sample count, as its
+    container stores them: the hash identifies a matrix."""
+    geometry = {
         "probe": asdict(probe),
         "grid": asdict(grid),
         "tx": asdict(tx),
-        "apodization": asdict(apod),
+        "apodization": asdict(apodization),
         "num_samples": num_samples,
     }
-
-
-def geometry_fingerprint(probe, grid, tx, num_samples, apod):
-    """sha256 of the matrix geometry JSON (sorted keys) that identifies a matrix."""
-    geometry = matrix_geometry(probe, grid, tx, num_samples, apod)
     return hashlib.sha256(json.dumps(geometry, sort_keys=True).encode()).hexdigest()
 
 

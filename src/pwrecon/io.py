@@ -9,12 +9,12 @@ Container layout (all integers little-endian):
 
 The metadata JSON carries dims and the geometry dataclasses as dicts
 (``dataclasses.asdict``), enough to rebuild the typed object; ``_KINDS``
-describes each float kind once. A system matrix is the "matrix" kind: its
-CSR arrays plus a geometry fingerprint that is re-derived and checked on
-every read, and dims that must be the geometry's: samples times elements
-rows, one column per pixel. A reader may name the kind it expects and
-refuses any other. Writes are atomic (write to a temp file of its own per
-writing process and thread, then rename).
+describes each kind once. A system matrix is the "matrix" kind: its CSR
+arrays plus its sample count and a geometry fingerprint that is re-derived
+and checked on every read, and dims that must be the geometry's: samples
+times elements rows, one column per pixel. A reader may name the kind it
+expects and refuses any other. Writes are atomic (write to a temp file of
+its own per writing process and thread, then rename).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import asdict
 import numpy as np
 import scipy.sparse as sp
 
-from . import forward_model
 from .acquisition import (
     TARGET_KINDS,
     ChannelData,
@@ -39,6 +38,7 @@ from .acquisition import (
     ProbeGeometry,
 )
 from .beamform import RfImage
+from .forward_model import ApodizationSpec, SparseSystemMatrix, geometry_fingerprint
 from .psf import Psf
 
 __all__ = [
@@ -57,29 +57,25 @@ __all__ = [
 CONTAINER_MAGIC = b"USJD"
 CONTAINER_VERSION = 1
 
-# float kind -> (class, payload attribute, {metadata attribute: rebuilder});
-# a rebuilder is a dataclass stored as a dict or a tag -> dataclass table for
-# a list of tagged dataclasses. A reader ignores metadata its kind does not list.
+# kind -> (class, payload attribute, payload dtypes in file order,
+# {metadata attribute: rebuilder}); a rebuilder is a dataclass stored as a
+# dict or a tag -> dataclass table for a list of tagged dataclasses. A reader
+# ignores metadata its kind does not list. A float kind's one payload is the
+# attribute's array; a matrix's three are its CSR row pointers, column
+# indices and weights.
 _KINDS = {
-    "channel": (ChannelData, "samples", {"probe": ProbeGeometry, "tx": PlaneWaveTx}),
-    "rfimage": (RfImage, "data", {"grid": ImagingGrid}),
-    "psf": (Psf, "kernel", {}),
-    "phantom": (Phantom, "trf", {"grid": ImagingGrid, "annotations": TARGET_KINDS}),
-}
-
-# the geometry of a "matrix" container, as rebuilders like those of _KINDS
-_MATRIX_GEOMETRY = {
-    "probe": ProbeGeometry,
-    "grid": ImagingGrid,
-    "tx": PlaneWaveTx,
-    "apodization": forward_model.ApodizationSpec,
+    "channel": (ChannelData, "samples", ("<f4",), {"probe": ProbeGeometry, "tx": PlaneWaveTx}),
+    "rfimage": (RfImage, "data", ("<f4",), {"grid": ImagingGrid}),
+    "psf": (Psf, "kernel", ("<f4",), {}),
+    "phantom": (Phantom, "trf", ("<f4",), {"grid": ImagingGrid, "annotations": TARGET_KINDS}),
+    "matrix": (SparseSystemMatrix, "matrix", ("<i8", "<i4", "<f8"), {
+        "probe": ProbeGeometry, "grid": ImagingGrid, "tx": PlaneWaveTx,
+        "apodization": ApodizationSpec,
+    }),
 }
 
 # kind -> dtypes of its payload arrays, in file order
-PAYLOADS = {
-    **{kind: ("<f4",) for kind in _KINDS},
-    "matrix": ("<i8", "<i4", "<f8"),  # CSR row pointers, column indices, weights
-}
+PAYLOADS = {kind: dtypes for kind, (_, _, dtypes, _) in _KINDS.items()}
 
 
 class ContainerError(ValueError):
@@ -117,50 +113,42 @@ def _from_meta(value, rebuild):
 
 def _encode(obj):
     """Return (kind, metadata dict, payload arrays) for a supported object."""
-    if isinstance(obj, forward_model.SparseSystemMatrix):
-        mat = obj.matrix
-        meta = {
-            "dims": list(mat.shape),
-            "fingerprint": obj.fingerprint,
-            **forward_model.matrix_geometry(
-                obj.probe, obj.grid, obj.tx, obj.num_time_samples, obj.apodization
-            ),
-        }
-        return "matrix", meta, (mat.indptr, mat.indices, mat.data)
-    for kind, (cls, attr, fields) in _KINDS.items():
+    for kind, (cls, attr, _, fields) in _KINDS.items():
         if isinstance(obj, cls):
             data = getattr(obj, attr)
             meta = {k: _to_meta(getattr(obj, k), rb) for k, rb in fields.items()}
-            return kind, {"dims": list(data.shape), **meta}, (data,)
+            meta["dims"] = list(data.shape)
+            if kind == "matrix":
+                meta.update(num_samples=obj.num_time_samples, fingerprint=obj.fingerprint)
+                return kind, meta, (data.indptr, data.indices, data.data)
+            return kind, meta, (data,)
     raise TypeError("cannot serialize object of type %r" % type(obj).__name__)
 
 
 def _decode(kind, meta, arrays):
     """Rebuild the typed object; raises KeyError, TypeError or ValueError."""
+    cls, attr, _, fields = _KINDS[kind]
+    attrs = {k: _from_meta(meta[k], rb) for k, rb in fields.items()}
     if kind == "matrix":
-        geometry = {k: _from_meta(meta[k], rb) for k, rb in _MATRIX_GEOMETRY.items()}
-        probe, grid, tx, apod = geometry.values()
         num_samples = meta["num_samples"]
-        fingerprint = forward_model.geometry_fingerprint(probe, grid, tx, num_samples, apod)
+        fingerprint = geometry_fingerprint(num_samples=num_samples, **attrs)
         if fingerprint != meta["fingerprint"]:
             raise ValueError("fingerprint mismatch")
         # rows are num_samples per element, columns one per pixel
-        dims = [num_samples * probe.num_elements, grid.num_pixels]
+        dims = [num_samples * attrs["probe"].num_elements, attrs["grid"].num_pixels]
         if meta["dims"] != dims:
             raise ValueError("dims %s, expected %s for the geometry" % (meta["dims"], dims))
         indptr, indices, weights = arrays
         matrix = sp.csr_matrix((weights, indices, indptr), shape=tuple(dims))
         # an index out of range would make every product read out of bounds
         matrix.check_format(full_check=True)
-        return forward_model.SparseSystemMatrix(matrix=matrix, **geometry)
+        return cls(**{attr: matrix}, **attrs)
     (payload,) = arrays
     dims = meta["dims"]
     if not dims or int(np.prod(dims)) != payload.size:
         raise ValueError(
             "payload length %d does not match dims %s" % (payload.size, dims)
         )
-    cls, attr, fields = _KINDS[kind]
-    attrs = {k: _from_meta(meta[k], rb) for k, rb in fields.items()}
     return cls(**{attr: payload.astype(np.float64).reshape(dims)}, **attrs)
 
 

@@ -28,7 +28,7 @@ from .metrics import (
     gcnr,
     histogram_match,
 )
-from .psf import Psf, conv_apply, make_parametric_psf
+from .psf import Psf, conv_apply, half_width_within, make_parametric_psf
 from .solver import observations_needed, solve
 
 __all__ = [
@@ -63,27 +63,15 @@ def build_model(cfg, ch=None):
     return cached_system_matrix(probe, cfg.grid, cfg.tx(), num, cfg.apodization)
 
 
-def _half_width_within(half, n):
-    """``half`` clamped so that a centered box of 2 half + 1 pixels fits an
-    axis of n pixels with a pixel to spare on each side; an axis of one or
-    two pixels keeps a one-pixel box."""
-    center = n // 2
-    return max(min(half, center - 1, n - center - 2), 0)
-
-
 def _parametric_psf(cfg, lateral_sigma):
-    """Parametric kernel of the probe's pulse, cropped about its center to
-    fit the grid."""
-    kernel = make_parametric_psf(
+    """Parametric kernel of the probe's pulse, built to fit the grid."""
+    return make_parametric_psf(
         f0=cfg.probe.center_freq,
         fs=cfg.probe.sampling_freq,
         axial_fbw=_AXIAL_FBW,
         lateral_sigma=lateral_sigma,
-    ).kernel
-    az, ax = (d // 2 for d in kernel.shape)
-    hz = _half_width_within(az, cfg.grid.nz)
-    hx = _half_width_within(ax, cfg.grid.nx)
-    return Psf(kernel=kernel[az - hz : az + hz + 1, ax - hx : ax + hx + 1])
+        shape=cfg.grid.shape,
+    )
 
 
 def _blur_kernel(cfg):
@@ -177,8 +165,8 @@ def psf_from_model(model, pre_blur=None):
     cols = np.where(strong.any(axis=0))[0]
     half_z = int(max(ciz - rows.min(), rows.max() - ciz))
     half_x = int(max(cix - cols.min(), cols.max() - cix))
-    half_z = _half_width_within(min(max(half_z, 1), 20), grid.nz)
-    half_x = _half_width_within(min(max(half_x, 1), 16), grid.nx)
+    half_z = half_width_within(min(max(half_z, 1), 20), grid.nz)
+    half_x = half_width_within(min(max(half_x, 1), 16), grid.nx)
     kernel = img[ciz - half_z : ciz + half_z + 1, cix - half_x : cix + half_x + 1]
     kernel = kernel / img[ciz, cix]
     return Psf(kernel=kernel)

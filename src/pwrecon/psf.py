@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Psf", "make_parametric_psf", "conv_apply", "deconv_update"]
+__all__ = ["Psf", "half_width_within", "make_parametric_psf", "conv_apply", "deconv_update"]
 
 
 @dataclass
@@ -52,7 +52,15 @@ class Psf:
         return tf
 
 
-def make_parametric_psf(f0, fs, axial_fbw, lateral_sigma):
+def half_width_within(half, n):
+    """``half`` clamped so that a centered box of 2 half + 1 pixels fits an
+    axis of n pixels with a pixel to spare on each side; an axis of one or
+    two pixels keeps a one-pixel box. A kernel fits its image by this rule."""
+    center = n // 2
+    return max(min(half, center - 1, n - center - 2), 0)
+
+
+def make_parametric_psf(f0, fs, axial_fbw, lateral_sigma, shape=None):
     """Separable pulse-echo kernel: Gaussian-enveloped tone by a lateral Gaussian.
 
     Parameters
@@ -63,10 +71,15 @@ def make_parametric_psf(f0, fs, axial_fbw, lateral_sigma):
         Fractional bandwidth of the axial pulse at -6 dB, in (0, 2].
     lateral_sigma : float
         Lateral Gaussian standard deviation in pixels.
+    shape : (nz, nx) or None
+        Image the kernel is for: only the half-widths ``half_width_within``
+        lets fit it are built. None builds the whole kernel.
 
     The axial profile is exp(-t^2 / 2 sigma_t^2) cos(2 pi f0 t) sampled at
-    1/fs, with sigma_t set so the -6 dB spectral width equals axial_fbw * f0.
-    The kernel is normalized to unit peak.
+    1/fs, with sigma_t set so the -6 dB spectral width equals axial_fbw * f0,
+    and both profiles reach 3 standard deviations out. The kernel is
+    normalized to unit peak; its center is exactly 1, so a fitted kernel is
+    the center crop of the whole one.
     """
     if not 0 < f0 < fs / 2:
         raise ValueError("need 0 < f0 < fs/2")
@@ -74,13 +87,19 @@ def make_parametric_psf(f0, fs, axial_fbw, lateral_sigma):
         raise ValueError("axial fractional bandwidth must lie in (0, 2]")
     if not lateral_sigma > 0:
         raise ValueError("lateral_sigma must be positive")
+    try:
+        lateral_var = 2.0 * lateral_sigma**2
+    except OverflowError:
+        raise OverflowError("lateral_sigma %g: its square overflows" % lateral_sigma) from None
     sigma_t = np.sqrt(2.0 * np.log(2.0)) / (np.pi * axial_fbw * f0)
     half_ax = max(int(np.floor(3.0 * sigma_t * fs)), 1)
+    half_lat = int(np.floor(3.0 * lateral_sigma))
+    if shape is not None:
+        half_ax, half_lat = map(half_width_within, (half_ax, half_lat), shape)
     t = np.arange(-half_ax, half_ax + 1) / fs
     axial = np.exp(-(t**2) / (2.0 * sigma_t**2)) * np.cos(2.0 * np.pi * f0 * t)
-    half_lat = int(np.floor(3.0 * lateral_sigma))
     u = np.arange(-half_lat, half_lat + 1)
-    lateral = np.exp(-(u**2) / (2.0 * lateral_sigma**2))
+    lateral = np.exp(-(u**2) / lateral_var)
     kernel = np.outer(axial, lateral)
     kernel /= kernel[half_ax, half_lat]
     return Psf(kernel=kernel)

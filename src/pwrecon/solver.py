@@ -132,9 +132,9 @@ class SolverConfig:
 
     ``normalize`` rescales the observations to unit peak before iterating
     (and undoes the scale on the result) so that the l1 weight mu keeps a
-    consistent meaning across datasets. In sequential mode ``stage2``
-    optionally overrides the deconvolution-stage hyperparameters; each stage
-    is completed by ``mode_fields``.
+    consistent meaning across datasets. Only sequential mode holds a
+    ``stage2``, which optionally overrides the deconvolution-stage
+    hyperparameters; each stage is completed by ``mode_fields``.
     """
 
     gamma_d: float = 1.0
@@ -165,6 +165,8 @@ class SolverConfig:
             raise ValueError("deconv_only requires gamma_b = 0")
         if not self.gamma_d + self.gamma_b > 0:
             raise ValueError("at least one data term must have positive weight")
+        if self.stage2 is not None and self.mode != "sequential":
+            raise ValueError("key 'stage2': only a sequential solve has a second stage")
 
 
 @dataclass

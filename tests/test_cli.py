@@ -724,15 +724,23 @@ class TestChannelGeometryMismatch:
             pipeline.reference_das(model, other)
 
 
-# finite config values whose arithmetic overflows a float or an int; at a
-# sound speed of 1e308 numpy first warns of the overflow it meets on the way
+# finite config values whose arithmetic overflows a float or an int, and
+# what the error line says; at a sound speed of 1e308 numpy first warns of
+# the overflow it meets on the way, and the line names no key
 _OVERFLOWING = [
-    pytest.param(lambda doc: doc["phantom"].update(snr_db=-4000), id="snr_db"),
     pytest.param(
-        lambda doc: doc["phantom"]["blur"].update(lateral_sigma=1e308), id="blur_lateral_sigma"
+        lambda doc: doc["phantom"].update(snr_db=-4000),
+        "snr_db -4000: its noise power ratio overflows",
+        id="snr_db",
+    ),
+    pytest.param(
+        lambda doc: doc["phantom"]["blur"].update(lateral_sigma=1e308),
+        "lateral_sigma 1e+308: its square overflows",
+        id="blur_lateral_sigma",
     ),
     pytest.param(
         lambda doc: doc["probe"].update(sound_speed=1e308),
+        "",
         id="sound_speed",
         marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
     ),
@@ -740,13 +748,16 @@ _OVERFLOWING = [
 
 
 class TestOverflowingValues:
-    @pytest.mark.parametrize("edit", _OVERFLOWING)
-    def test_simulate_exits_4_with_an_error_line(self, small_config, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, match", _OVERFLOWING)
+    def test_simulate_exits_4_with_an_error_line(
+        self, small_config, tmp_path, capsys, edit, match
+    ):
         config = _write_config(small_config, tmp_path, edit)
         out = tmp_path / "ch.usjd"
         assert main(["simulate", "--config", config, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert match in err
         assert not out.exists()
 
 

@@ -1,12 +1,16 @@
 """Kernel construction, FFT circular convolution vs spatial oracle, and the
 closed-form quadratic image update vs a dense circulant solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwrecon import Psf, conv_apply, deconv_update, make_parametric_psf
+from pwrecon import Psf, conv_apply, deconv_update, make_parametric_psf, pipeline
+from pwrecon.config import get_builtin_config, run_config_from_dict
+from pwrecon.psf import half_width_within
 
 
 def circular_conv_oracle(kernel, image):
@@ -77,6 +81,39 @@ class TestParametricPsf:
             make_parametric_psf(5e6, 20e6, 2.5, 1.0)
         with pytest.raises(ValueError):
             make_parametric_psf(5e6, 20e6, 0.67, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nz=st.integers(1, 40),
+        nx=st.integers(1, 40),
+        sigma=st.floats(1e-3, 50.0),
+    )
+    def test_kernel_fitted_to_a_shape_is_the_center_crop_of_the_whole(self, nz, nx, sigma):
+        f0, fs = 5.208e6, 20.832e6
+        whole = make_parametric_psf(f0, fs, 0.67, sigma).kernel
+        fitted = make_parametric_psf(f0, fs, 0.67, sigma, shape=(nz, nx)).kernel
+        az, ax = (d // 2 for d in whole.shape)
+        hz, hx = half_width_within(az, nz), half_width_within(ax, nx)
+        crop = whole[az - hz : az + hz + 1, ax - hx : ax + hx + 1]
+        assert fitted.shape == crop.shape
+        assert fitted.tobytes() == crop.tobytes()
+
+    def test_wide_kernel_is_built_at_the_grid_size(self):
+        # unfitted, a lateral sigma of 1e5 pixels makes a 13 x 600,001
+        # kernel (62 MB); fitted to the 32 x 16 grid it is 13 x 13
+        doc = get_builtin_config("desk_point")
+        doc["grid"].update(nz=32, nx=16)
+        doc["psf"] = {"type": "parametric", "lateral_sigma": 1e5}
+        cfg = run_config_from_dict(doc)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kernel = pipeline.resolve_psf(cfg).kernel
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kernel.shape == (13, 13)
+        assert peak < 1e6
 
     def test_kernel_dims_must_be_odd(self):
         with pytest.raises(ValueError):

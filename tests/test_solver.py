@@ -20,7 +20,7 @@ from pwrecon import (
     sparsity_update,
 )
 from pwrecon.config import solver_config
-from pwrecon.solver import SolverState, _ChannelTerm, _conjugate_residual
+from pwrecon.solver import SolverState, _ChannelTerm, _conjugate_residual, mode_fields
 
 from conftest import channel_data
 
@@ -530,6 +530,15 @@ class TestSolve:
             SolverConfig(gamma_d=0.0, gamma_b=0.0)
         with pytest.raises(ValueError):
             SolverConfig(beta=0.0)
+
+    def test_only_a_sequential_config_holds_a_stage2(self):
+        stage2 = SolverConfig(**mode_fields("deconv_only", {}))
+        assert SolverConfig(**mode_fields("sequential", {}), stage2=stage2).stage2 == stage2
+        with pytest.raises(ValueError, match="'stage2'"):
+            SolverConfig(mode="joint", stage2=SolverConfig())
+        for mode in ("beamform_only", "deconv_only"):
+            with pytest.raises(ValueError, match="'stage2'"):
+                SolverConfig(**mode_fields(mode, {}), stage2=stage2)
 
     def test_report_json_round_trip(self, covered_instance, rng):
         import json
