@@ -112,7 +112,7 @@ def _cmd_simulate(args):
 def _cmd_das(args):
     cfg = load_run_config(args.config)
     ch = read_container(args.channel, "channel")
-    write_container(pipeline.config_das(cfg, ch), args.out)
+    write_container(pipeline.reference_das(cfg, ch, "the run config"), args.out)
     return EXIT_OK
 
 

@@ -223,19 +223,23 @@ class SparseSystemMatrix:
             self.probe, self.grid, self.tx, self.num_time_samples, self.apodization
         )
 
+    def _operand(self, v, length, kind):
+        """``v`` as a float64 vector of ``length``, and the cut of a product's
+        halves: the first row boundary at or past half the entries."""
+        v = np.asarray(v, dtype=np.float64, order="C")
+        if v.shape != (length,):
+            raise ValueError(
+                "expected %s vector of length %d, got shape %s" % (kind, length, v.shape)
+            )
+        ptr = self.matrix.indptr
+        return v, ptr.searchsorted(ptr[-1] // 2)
+
     def apply(self, x):
         """Forward product: image vector -> channel vector."""
-        x = np.asarray(x, dtype=np.float64, order="C")
-        if x.shape != (self.num_cols,):
-            raise ValueError(
-                "expected image vector of length %d, got shape %s"
-                % (self.num_cols, x.shape)
-            )
+        x, cut = self._operand(x, self.num_cols, "image")
         mat = self.matrix
         (rows, cols), ptr = mat.shape, mat.indptr
-        # the top half is the rows up to the first row boundary at or past
-        # half the entries; the bottom half's offsets ptr[cut:] are absolute
-        cut = ptr.searchsorted(ptr[-1] // 2)
+        # the bottom half's offsets ptr[cut:] are absolute
         out = np.zeros(rows)
         pending = _POOL.submit(
             csr_matvec, rows - cut, cols, ptr[cut:], mat.indices, mat.data, x, out[cut:]
@@ -246,16 +250,10 @@ class SparseSystemMatrix:
 
     def apply_adjoint(self, y):
         """Transpose product: channel vector -> image vector."""
-        y = np.asarray(y, dtype=np.float64, order="C")
-        if y.shape != (self.num_rows,):
-            raise ValueError(
-                "expected channel vector of length %d, got shape %s"
-                % (self.num_rows, y.shape)
-            )
+        y, cut = self._operand(y, self.num_rows, "channel")
         # apply's halves; a row block's CSR arrays are those of its transpose in CSC
         mat = self.matrix
         (rows, cols), ptr = mat.shape, mat.indptr
-        cut = ptr.searchsorted(ptr[-1] // 2)
         out, part = np.zeros(cols), np.zeros(cols)
         pending = _POOL.submit(
             csc_matvec, cols, rows - cut, ptr[cut:], mat.indices, mat.data, y[cut:], part
@@ -379,12 +377,17 @@ def suggest_time_window(probe, grid, tx):
     # the receive leg is shortest at the element nearest the pixel and
     # longest at an end element, so three delays per pixel bound them all
     nearest = elems[np.abs(x[:, None] - elems).argmin(axis=1)]
-    taus = [
-        propagation_delay((grid.z_positions[:, None], x), elem_x, tx, probe.sound_speed)
-        for elem_x in (nearest, elems[0], elems[-1])
-    ]
+    with np.errstate(over="ignore"):
+        taus = [
+            propagation_delay((grid.z_positions[:, None], x), elem_x, tx, probe.sound_speed)
+            for elem_x in (nearest, elems[0], elems[-1])
+        ]
     lo = min(float(t.min()) for t in taus)
     hi = max(float(t.max()) for t in taus)
+    if not np.isfinite(hi - lo):
+        raise OverflowError(
+            "sound_speed %g: the grid's round-trip delays overflow" % probe.sound_speed
+        )
     fs = probe.sampling_freq
     t0 = np.floor(lo * fs - 2) / fs
     num = int(np.ceil((hi - t0) * fs)) + 3  # the last delay's sample and 2 spare

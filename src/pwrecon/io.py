@@ -255,57 +255,60 @@ def ingest_picmus(path, angle_index=None):
     except ImportError:
         raise RuntimeError("PICMUS ingestion requires the optional h5py dependency")
     with h5py.File(path, "r") as f:
-        if "US" not in f:
-            raise StructureError("%s: missing group 'US'; %s" % (path, PICMUS_HINT))
-        groups = [k for k in f["US"].keys() if k.startswith("US_DATASET")]
-        if not groups:
-            raise StructureError(
-                "%s: no 'US/US_DATASET*' group; %s" % (path, PICMUS_HINT)
-            )
-        g = f["US"][sorted(groups)[0]]
-        for required in ("angles", "data", "sampling_frequency", "probe_geometry"):
-            if required not in g:
-                raise StructureError(
-                    "%s: missing dataset group %r" % (path, required)
-                )
-        if "real" not in g["data"]:
-            raise StructureError("%s: missing dataset group 'data/real'" % path)
-        mod_freq = float(np.asarray(g["modulation_frequency"])) if "modulation_frequency" in g else 0.0
-        if mod_freq != 0.0:
-            raise StructureError(
-                "%s: file holds IQ data (modulation_frequency=%g); RF data is "
-                "required" % (path, mod_freq)
-            )
-        angles = np.asarray(g["angles"], dtype=np.float64).reshape(-1)
-        if angle_index is None:
-            angle_index = int(np.argmin(np.abs(angles)))
-        if not 0 <= angle_index < angles.size:
-            raise ValueError(
-                "angle index %d out of range (file has %d angles)"
-                % (angle_index, angles.size)
-            )
-        data = np.asarray(g["data"]["real"], dtype=np.float64)
-        if data.ndim == 2:
-            data = data[None, ...]
-        # stored layout is (angles, elements, samples)
-        samples = data[angle_index].T.copy()
-        geom = np.asarray(g["probe_geometry"], dtype=np.float64)
-        if geom.shape[0] != 3 and geom.shape[-1] == 3:
-            geom = geom.T
-        xs = np.sort(geom[0].reshape(-1))
-        pitch = float(np.mean(np.diff(xs)))
-        fs = float(np.asarray(g["sampling_frequency"]))
-        c = float(np.asarray(g["sound_speed"])) if "sound_speed" in g else 1540.0
-        t0 = float(np.asarray(g["initial_time"])) if "initial_time" in g else 0.0
-        probe = ProbeGeometry(
-            num_elements=xs.size,
-            pitch=pitch,
-            sound_speed=c,
-            sampling_freq=fs,
-            center_freq=fs / 4.0,  # RF files carry no center frequency
-            t0_offset=t0,
+        return _picmus_channel(f, path, angle_index)
+
+
+def _picmus_channel(f, path, angle_index):
+    """(ChannelData, ProbeGeometry) of one steering angle of the PICMUS
+    layout in ``f``: an open HDF5 file, or any nested mapping of arrays.
+    ``path`` names the source in errors."""
+    if "US" not in f:
+        raise StructureError("%s: missing group 'US'; %s" % (path, PICMUS_HINT))
+    groups = [k for k in f["US"].keys() if k.startswith("US_DATASET")]
+    if not groups:
+        raise StructureError("%s: no 'US/US_DATASET*' group; %s" % (path, PICMUS_HINT))
+    g = f["US"][sorted(groups)[0]]
+    for required in ("angles", "data", "sampling_frequency", "probe_geometry"):
+        if required not in g:
+            raise StructureError("%s: missing dataset group %r" % (path, required))
+    if "real" not in g["data"]:
+        raise StructureError("%s: missing dataset group 'data/real'" % path)
+    mod_freq = float(np.asarray(g["modulation_frequency"])) if "modulation_frequency" in g else 0.0
+    if mod_freq != 0.0:
+        raise StructureError(
+            "%s: file holds IQ data (modulation_frequency=%g); RF data is "
+            "required" % (path, mod_freq)
         )
-        ch = ChannelData(
-            samples=samples, tx=PlaneWaveTx(angle=float(angles[angle_index])), probe=probe
+    angles = np.asarray(g["angles"], dtype=np.float64).reshape(-1)
+    if angle_index is None:
+        angle_index = int(np.argmin(np.abs(angles)))
+    if not 0 <= angle_index < angles.size:
+        raise ValueError(
+            "angle index %d out of range (file has %d angles)"
+            % (angle_index, angles.size)
         )
+    data = np.asarray(g["data"]["real"], dtype=np.float64)
+    if data.ndim == 2:
+        data = data[None, ...]
+    # stored layout is (angles, elements, samples)
+    samples = data[angle_index].T.copy()
+    geom = np.asarray(g["probe_geometry"], dtype=np.float64)
+    if geom.shape[0] != 3 and geom.shape[-1] == 3:
+        geom = geom.T
+    xs = np.sort(geom[0].reshape(-1))
+    pitch = float(np.mean(np.diff(xs)))
+    fs = float(np.asarray(g["sampling_frequency"]))
+    c = float(np.asarray(g["sound_speed"])) if "sound_speed" in g else 1540.0
+    t0 = float(np.asarray(g["initial_time"])) if "initial_time" in g else 0.0
+    probe = ProbeGeometry(
+        num_elements=xs.size,
+        pitch=pitch,
+        sound_speed=c,
+        sampling_freq=fs,
+        center_freq=fs / 4.0,  # RF files carry no center frequency
+        t0_offset=t0,
+    )
+    ch = ChannelData(
+        samples=samples, tx=PlaneWaveTx(angle=float(angles[angle_index])), probe=probe
+    )
     return ch, probe

@@ -36,7 +36,6 @@ __all__ = [
     "make_phantom",
     "simulate",
     "reference_das",
-    "config_das",
     "psf_from_model",
     "resolve_psf",
     "run_reconstruction",
@@ -122,18 +121,11 @@ def simulate(cfg, phantom, model):
     )
 
 
-def reference_das(model, ch):
-    """Delay-and-sum image on the model's grid with its apodization; data
-    recorded with another probe than the model's are refused."""
-    check_channel_probe(ch, model.probe, "the system matrix")
-    return das_beamform(ch, model.grid, model.apodization)
-
-
-def config_das(cfg, ch):
-    """Delay-and-sum image of channel data ``ch`` on the run config's grid
-    with its apodization; data recorded with another probe are refused."""
-    check_channel_probe(ch, cfg.probe, "the run config")
-    return das_beamform(ch, cfg.grid, cfg.apodization)
+def reference_das(geometry, ch, against="the system matrix"):
+    """Delay-and-sum image of ``ch`` on the grid and apodization of ``geometry``,
+    a system matrix or a run config; data of another probe are refused."""
+    check_channel_probe(ch, geometry.probe, against)
+    return das_beamform(ch, geometry.grid, geometry.apodization)
 
 
 def psf_from_model(model, pre_blur=None):
@@ -156,7 +148,7 @@ def psf_from_model(model, pre_blur=None):
         trf = conv_apply(pre_blur, trf)
     phantom = Phantom(trf=trf, grid=grid)
     ch = simulate_channel_data(phantom, model, snr_db=None, seed=0)
-    img = das_beamform(ch, grid, model.apodization).data
+    img = reference_das(model, ch).data
     peak = np.abs(img).max()
     if peak <= 0:
         raise ValueError("impulse response is identically zero")
@@ -190,7 +182,7 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
 
     ``solver.observations_needed`` names what the mode reads: ``ch`` for
     the channel term, and a PSF and ``y_das`` for the blur term, ``y_das``
-    computed by ``config_das`` from ``ch`` when not given.
+    computed by ``reference_das`` from ``ch`` when not given.
     With ``model`` None the system matrix is built from ``cfg`` over the
     window of ``ch`` for the channel term (``resolve_psf`` builds its own).
     A given ``y_das`` must lie on the config's grid, whatever the mode.
@@ -206,7 +198,7 @@ def run_reconstruction(cfg, model, ch, psf=None, y_das=None):
     if model is None and needs["channel"]:
         model = build_model(cfg, ch)
     if needs_das:
-        y_das = config_das(cfg, ch)
+        y_das = reference_das(cfg, ch, "the run config")
     if psf is None and needs["psf"]:
         psf = resolve_psf(cfg, model=model)
     return solve(scfg, model=model, y_ch=ch, psf=psf, y_das=y_das)

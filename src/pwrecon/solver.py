@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -171,7 +171,9 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Split iterates, multipliers, and per-iteration diagnostics."""
+    """Split iterates, multipliers, and per-iteration diagnostics. A solve
+    report records every field but the iterates and multipliers, with
+    ``step_seconds`` under its timing: a new diagnostic is one new field."""
 
     u: np.ndarray
     w: np.ndarray
@@ -217,21 +219,16 @@ class SolveReport:
         }
         if self.stages:
             return {**d, "stages": [s.to_json_dict() for s in self.stages]}
-        d["timing"].update(("%s_step_s" % k, v) for k, v in self.state.step_seconds.items())
+        iterates = ("u", "w", "z", "lam1", "lam2")
+        record = {k: v for k, v in asdict(self.state).items() if k not in iterates}
+        d["timing"].update(("%s_step_s" % k, v) for k, v in record.pop("step_seconds").items())
         return {
             **d,
             "hyperparameters": {
                 k: getattr(self.config, k)
                 for k in ("gamma_d", "gamma_b", "mu", "beta", "epsilon", "max_iter")
             },
-            "objective_history": list(self.state.objective_history),
-            "primal_residuals": [list(r) for r in self.state.primal_residuals],
-            "inner_iterations": list(self.state.inner_iterations),
-            "inner_capped": self.state.inner_capped,
-            "dual_residuals": [list(r) for r in self.state.dual_residuals],
-            "forward_products": self.state.forward_products,
-            "adjoint_products": self.state.adjoint_products,
-            "basis_columns": self.state.basis_columns,
+            **record,
             "scale": self.scale,
         }
 

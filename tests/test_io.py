@@ -35,6 +35,7 @@ from pwrecon.io import (
     StructureError,
     TruncatedFileError,
     VersionMismatchError,
+    _picmus_channel,
     ingest_picmus,
 )
 
@@ -472,3 +473,97 @@ class TestPicmusIngest:
             g.create_dataset("angles", data=np.zeros(3))
         with pytest.raises(StructureError, match="data"):
             ingest_picmus(path)
+
+
+def picmus_mapping(num_angles=5, num_elements=16, num_samples=64, **fields):
+    """The layout of ``make_picmus_file`` as nested dicts of numpy arrays;
+    ``fields`` replace (or, given None, drop) datasets of the group."""
+    rng = np.random.default_rng(0)
+    geom = np.zeros((3, num_elements))
+    geom[0] = (np.arange(num_elements) - (num_elements - 1) / 2) * 0.3e-3
+    group = {
+        "angles": np.linspace(-0.1, 0.1, num_angles),
+        "data": {"real": rng.standard_normal((num_angles, num_elements, num_samples))},
+        "sampling_frequency": np.array(20.832e6),
+        "sound_speed": np.array(1540.0),
+        "initial_time": np.array(0.0),
+        "modulation_frequency": np.array(0.0),
+        "probe_geometry": geom,
+    }
+    group.update(fields)
+    group = {k: v for k, v in group.items() if v is not None}
+    return {"US": {"US_DATASET0000": group}}
+
+
+class TestPicmusLayout:
+    """The PICMUS reader on nested mappings: every check of the HDF5 tests,
+    without h5py."""
+
+    @staticmethod
+    def _read(root, angle_index=None):
+        return _picmus_channel(root, "mem.hdf5", angle_index)
+
+    def test_selects_normal_incidence_by_default(self):
+        root = picmus_mapping()
+        angles = root["US"]["US_DATASET0000"]["angles"]
+        ch, probe = self._read(root)
+        assert ch.tx.angle == angles[2]
+        assert ch.probe == probe
+        assert probe.num_elements == 16
+        assert probe.pitch == pytest.approx(0.3e-3, rel=1e-9)
+        assert (probe.sound_speed, probe.t0_offset) == (1540.0, 0.0)
+        assert probe.center_freq == 20.832e6 / 4
+        real = root["US"]["US_DATASET0000"]["data"]["real"]
+        assert np.array_equal(ch.samples, real[2].T)
+
+    def test_explicit_angle_selection(self):
+        root = picmus_mapping()
+        ch, _ = self._read(root, angle_index=0)
+        assert ch.tx.angle == root["US"]["US_DATASET0000"]["angles"][0]
+        with pytest.raises(ValueError, match="angle index 99 out of range"):
+            self._read(root, angle_index=99)
+
+    def test_iq_only_rejected(self):
+        with pytest.raises(StructureError, match="IQ data"):
+            self._read(picmus_mapping(modulation_frequency=np.array(5.0e6)))
+
+    @pytest.mark.parametrize("root, named", [
+        ({}, "missing group 'US'"),
+        ({"US": {"other": {}}}, "no 'US/US_DATASET\\*' group"),
+        ({"US": {"US_DATASET0000": {"angles": np.zeros(3)}}}, "missing dataset group 'data'"),
+        (picmus_mapping(data={"imag": np.zeros((5, 16, 64))}), "'data/real'"),
+    ])
+    def test_missing_group_named_in_error(self, root, named):
+        with pytest.raises(StructureError, match=named):
+            self._read(root)
+
+    def test_two_dimensional_data_for_one_angle(self):
+        real = np.random.default_rng(1).standard_normal((16, 40))
+        ch, probe = self._read(
+            picmus_mapping(angles=np.array([0.05]), data={"real": real})
+        )
+        assert ch.tx.angle == 0.05 and probe.num_elements == 16
+        assert np.array_equal(ch.samples, real.T)
+
+    def test_element_positions_stored_n_by_3(self):
+        geom = picmus_mapping()["US"]["US_DATASET0000"]["probe_geometry"]
+        _, probe = self._read(picmus_mapping(probe_geometry=geom.T.copy()))
+        assert probe.num_elements == 16
+        assert probe.pitch == pytest.approx(0.3e-3, rel=1e-9)
+
+    def test_absent_sound_speed_and_initial_time(self):
+        _, probe = self._read(
+            picmus_mapping(sound_speed=None, initial_time=None, modulation_frequency=None)
+        )
+        assert (probe.sound_speed, probe.t0_offset) == (1540.0, 0.0)
+        _, probe = self._read(
+            picmus_mapping(sound_speed=np.array(1480.0), initial_time=np.array(2e-6))
+        )
+        assert (probe.sound_speed, probe.t0_offset) == (1480.0, 2e-6)
+
+    def test_non_uniform_pitch_is_the_mean_spacing(self):
+        geom = np.zeros((3, 4))
+        geom[0] = [0.3e-3, -0.3e-3, 0.0, 0.7e-3]  # sorted spacings 0.3, 0.3, 0.4 mm
+        _, probe = self._read(picmus_mapping(num_elements=4, probe_geometry=geom))
+        assert probe.num_elements == 4
+        assert probe.pitch == pytest.approx(1.0e-3 / 3, rel=1e-12)

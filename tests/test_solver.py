@@ -1,6 +1,7 @@
 """Splitting-solver updates against dense oracles, invariants, and modes."""
 
-from dataclasses import replace
+from copy import deepcopy
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -561,6 +562,33 @@ class TestSolve:
         timing = doc["timing"]
         steps = [timing["%s_step_s" % k] for k in ("u", "z", "w", "objective")]
         assert min(steps) > 0 and sum(steps) <= timing["wall_time_s"]
+
+    def test_report_records_each_non_iterate_state_field(self, covered_instance, rng):
+        model = covered_instance["model"]
+        grid = covered_instance["grid"]
+        cfg = SolverConfig(gamma_d=1.0, gamma_b=0.2, mu=0.01, beta=2.0, max_iter=4)
+        report = solve(
+            cfg, model=model, y_ch=channel_data(model, rng.standard_normal(model.num_rows)),
+            psf=make_psf(rng), y_das=RfImage(rng.standard_normal(grid.shape), grid),
+        )
+        state = report.state
+        recorded = {f.name for f in fields(SolverState)} - {
+            "u", "w", "z", "lam1", "lam2", "step_seconds"
+        }
+        doc = report.to_json_dict()
+        assert set(doc) == recorded | {
+            "converged", "iterations", "mode", "timing", "hyperparameters", "scale"
+        }
+        assert {k: doc[k] for k in recorded} == {k: getattr(state, k) for k in recorded}
+        steps = {"%s_step_s" % k: v for k, v in state.step_seconds.items()}
+        assert doc["timing"] == {"wall_time_s": report.wall_time, **steps}
+
+        kept = deepcopy({k: getattr(state, k) for k in recorded | {"step_seconds"}})
+        for name in ("objective_history", "primal_residuals", "dual_residuals"):
+            doc[name].clear()
+        doc["inner_iterations"][0] = -1
+        doc["timing"]["u_step_s"] = -1.0
+        assert {k: getattr(state, k) for k in kept} == kept
 
     def test_dual_residuals_and_products_are_recorded(
         self, covered_instance, rng, monkeypatch
