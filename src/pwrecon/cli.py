@@ -9,9 +9,9 @@ or by ``pipeline.contrast`` on explicit discs.
 
 Each input flag reads the container kind it names.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 a path that is missing or
-cannot be opened, or a missing optional dependency, 4 invalid data (a file of
-the wrong container kind included) or configuration, 5 solver failure.
+Only ``main`` maps an outcome to an exit code: 0 success, 2 usage (argparse),
+3 OSError or ImportError (a path missing or unopenable, h5py absent), 4
+ValueError or OverflowError (invalid data or configuration), 5 SolverError.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import pipeline
 from .acquisition import TARGET_KINDS
 from .beamform import compound, envelope, export_png, log_compress
 from .config import ConfigError, load_run_config
-from .io import ContainerError, ingest_picmus, read_container, write_container
+from .io import ingest_picmus, read_container, write_container
 from .metrics import disc_mask
 from .solver import MODES, SolverError
 
@@ -106,20 +106,17 @@ def _cmd_simulate(args):
     write_container(ch, args.out)
     if args.phantom_out:
         write_container(phantom, args.phantom_out)
-    return EXIT_OK
 
 
 def _cmd_das(args):
     cfg = load_run_config(args.config)
     ch = read_container(args.channel, "channel")
     write_container(pipeline.reference_das(cfg, ch, "the run config"), args.out)
-    return EXIT_OK
 
 
 def _cmd_compound(args):
     images = [read_container(p, "rfimage") for p in args.inputs]
     write_container(compound(images), args.out)
-    return EXIT_OK
 
 
 def _cmd_solve(args):
@@ -136,7 +133,6 @@ def _cmd_solve(args):
         "solved mode=%s iterations=%d converged=%s"
         % (cfg.solver.mode, report.iterations, report.converged)
     )
-    return EXIT_OK
 
 
 def _parse_disc(text):
@@ -170,39 +166,32 @@ def _cmd_metrics(args):
             f.write(text + "\n")
     else:
         print(text)
-    return EXIT_OK
 
 
 def _cmd_export_png(args):
     image = read_container(args.input, "rfimage")
     export_png(log_compress(envelope(image), args.dynamic_range), args.out)
-    return EXIT_OK
 
 
 def _cmd_ingest(args):
-    try:
-        ch, _probe = ingest_picmus(args.file, angle_index=args.angle_index)
-    except RuntimeError as err:  # the optional h5py dependency is missing
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    write_container(ch, args.out)
-    return EXIT_OK
+    write_container(ingest_picmus(args.file, angle_index=args.angle_index), args.out)
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as err:  # a path that is missing or cannot be opened
+        args.func(args)
+    except (OSError, ImportError) as err:  # a missing path or optional dependency
         print("error: %s" % err, file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ContainerError, ConfigError, ValueError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:  # ContainerError, ConfigError included
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INVALID
     except SolverError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_SOLVER
+    return EXIT_OK
 
 
 if __name__ == "__main__":

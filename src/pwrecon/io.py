@@ -240,28 +240,28 @@ PICMUS_HINT = (
 def ingest_picmus(path, angle_index=None):
     """Extract one steering angle's RF channel data from a PICMUS HDF5 file.
 
-    Returns (ChannelData, ProbeGeometry). ``angle_index=None`` picks the
-    angle closest to normal incidence. Requires the optional h5py
+    Returns the ChannelData, its probe at ``.probe``. ``angle_index=None``
+    picks the angle closest to normal incidence. Requires the optional h5py
     dependency; IQ-only files (nonzero modulation frequency) are rejected.
 
     The path is checked first: a path that does not exist raises
     FileNotFoundError with the PICMUS hint, whether or not h5py is
-    installed. An existing path without h5py raises RuntimeError naming h5py.
+    installed. An existing path without h5py raises ImportError naming h5py.
     """
     if not os.path.exists(path):
         raise FileNotFoundError("dataset not found at %s; %s" % (path, PICMUS_HINT))
     try:
         import h5py
     except ImportError:
-        raise RuntimeError("PICMUS ingestion requires the optional h5py dependency")
+        raise ImportError("PICMUS ingestion requires the optional h5py dependency")
     with h5py.File(path, "r") as f:
         return _picmus_channel(f, path, angle_index)
 
 
 def _picmus_channel(f, path, angle_index):
-    """(ChannelData, ProbeGeometry) of one steering angle of the PICMUS
-    layout in ``f``: an open HDF5 file, or any nested mapping of arrays.
-    ``path`` names the source in errors."""
+    """ChannelData of one steering angle of the PICMUS layout in ``f``: an
+    open HDF5 file, or any nested mapping of arrays. ``path`` names the
+    source in errors."""
     if "US" not in f:
         raise StructureError("%s: missing group 'US'; %s" % (path, PICMUS_HINT))
     groups = [k for k in f["US"].keys() if k.startswith("US_DATASET")]
@@ -290,6 +290,10 @@ def _picmus_channel(f, path, angle_index):
     data = np.asarray(g["data"]["real"], dtype=np.float64)
     if data.ndim == 2:
         data = data[None, ...]
+    if len(data) != angles.size:
+        raise StructureError(
+            "%s: data/real holds %d angles, 'angles' lists %d" % (path, len(data), angles.size)
+        )
     # stored layout is (angles, elements, samples)
     samples = data[angle_index].T.copy()
     geom = np.asarray(g["probe_geometry"], dtype=np.float64)
@@ -308,7 +312,6 @@ def _picmus_channel(f, path, angle_index):
         center_freq=fs / 4.0,  # RF files carry no center frequency
         t0_offset=t0,
     )
-    ch = ChannelData(
+    return ChannelData(
         samples=samples, tx=PlaneWaveTx(angle=float(angles[angle_index])), probe=probe
     )
-    return ch, probe

@@ -361,7 +361,8 @@ class TestCriterion9PicmusGated:
         from dataclasses import replace
 
         path = os.environ[PICMUS_ENV]
-        ch, probe = ingest_picmus(path)
+        ch = ingest_picmus(path)
+        probe = ch.probe
         grid = ImagingGrid.for_probe(probe, nz=256, nx=probe.num_elements,
                                      z_origin=10e-3)
         apod = pw.ApodizationSpec(window="hanning", f_number=0.5)

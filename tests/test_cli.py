@@ -1,11 +1,13 @@
 """Command-line pipeline: subcommands composing through container files."""
 
+import contextlib
 import json
 import os
 import shlex
 import struct
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +23,11 @@ from pwrecon import (
     write_container,
 )
 from pwrecon.cli import _build_parser, main
+from pwrecon.io import _picmus_channel
 from pwrecon.solver import MODES
 
 from conftest import channel_data
+from test_io import picmus_mapping
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -337,6 +341,42 @@ class TestCliErrors:
             doc = get_builtin_config(name)
             assert doc["solver"]["mode"] == "joint"
 
+
+
+class TestIngestPicmusStandIn:
+    """``ingest-picmus`` end to end through a stand-in h5py whose one file
+    holds a ``picmus_mapping`` layout. Without h5py it exits 3, as
+    ``TestCliErrors.test_missing_h5py_exit_code`` checks."""
+
+    @staticmethod
+    def _ingest(root, tmp_path, monkeypatch):
+        @contextlib.contextmanager
+        def open_file(path, mode):
+            assert mode == "r"
+            yield root
+
+        monkeypatch.setitem(sys.modules, "h5py", types.SimpleNamespace(File=open_file))
+        src, out = tmp_path / "picmus.hdf5", tmp_path / "ch.usjd"
+        src.write_bytes(b"stand-in")
+        return main(["ingest-picmus", "--file", str(src), "--out", str(out)]), src, out
+
+    def test_default_mapping_exits_0(self, tmp_path, monkeypatch):
+        root = picmus_mapping()
+        code, src, out = self._ingest(root, tmp_path, monkeypatch)
+        assert code == 0
+        expected = _picmus_channel(root, str(src), None)
+        back = read_container(out, "channel")
+        assert np.array_equal(back.samples, expected.samples.astype(np.float32))
+        assert (back.tx, back.probe) == (expected.tx, expected.probe)
+
+    def test_fewer_data_angles_than_angles_exits_4(self, tmp_path, monkeypatch, capsys):
+        root = picmus_mapping(data={"real": np.zeros((16, 64))})
+        code, _, out = self._ingest(root, tmp_path, monkeypatch)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "data/real holds 1 angles, 'angles' lists 5" in err
+        assert not out.exists()
 
 
 class TestDocumentedExits:

@@ -439,22 +439,22 @@ class TestPicmusIngest:
             ingest_picmus(tmp_path / "nope.hdf5")
         present = tmp_path / "not_hdf5.bin"
         present.write_bytes(b"not an HDF5 file")
-        with pytest.raises(RuntimeError, match="h5py"):
+        with pytest.raises(ImportError, match="h5py"):
             ingest_picmus(present)
 
     def test_selects_normal_incidence_by_default(self, tmp_path):
         path = tmp_path / "picmus.hdf5"
         angles = make_picmus_file(path)
-        ch, probe = ingest_picmus(path)
+        ch = ingest_picmus(path)
         assert ch.tx.angle == pytest.approx(angles[len(angles) // 2])
-        assert probe.num_elements == 16
-        assert probe.pitch == pytest.approx(0.3e-3, rel=1e-9)
+        assert ch.probe.num_elements == 16
+        assert ch.probe.pitch == pytest.approx(0.3e-3, rel=1e-9)
         assert ch.samples.shape == (64, 16)
 
     def test_explicit_angle_selection(self, tmp_path):
         path = tmp_path / "picmus.hdf5"
         angles = make_picmus_file(path)
-        ch, _ = ingest_picmus(path, angle_index=0)
+        ch = ingest_picmus(path, angle_index=0)
         assert ch.tx.angle == pytest.approx(angles[0])
         with pytest.raises(ValueError, match="angle index"):
             ingest_picmus(path, angle_index=99)
@@ -506,9 +506,9 @@ class TestPicmusLayout:
     def test_selects_normal_incidence_by_default(self):
         root = picmus_mapping()
         angles = root["US"]["US_DATASET0000"]["angles"]
-        ch, probe = self._read(root)
+        ch = self._read(root)
+        probe = ch.probe
         assert ch.tx.angle == angles[2]
-        assert ch.probe == probe
         assert probe.num_elements == 16
         assert probe.pitch == pytest.approx(0.3e-3, rel=1e-9)
         assert (probe.sound_speed, probe.t0_offset) == (1540.0, 0.0)
@@ -518,7 +518,7 @@ class TestPicmusLayout:
 
     def test_explicit_angle_selection(self):
         root = picmus_mapping()
-        ch, _ = self._read(root, angle_index=0)
+        ch = self._read(root, angle_index=0)
         assert ch.tx.angle == root["US"]["US_DATASET0000"]["angles"][0]
         with pytest.raises(ValueError, match="angle index 99 out of range"):
             self._read(root, angle_index=99)
@@ -539,31 +539,39 @@ class TestPicmusLayout:
 
     def test_two_dimensional_data_for_one_angle(self):
         real = np.random.default_rng(1).standard_normal((16, 40))
-        ch, probe = self._read(
-            picmus_mapping(angles=np.array([0.05]), data={"real": real})
-        )
-        assert ch.tx.angle == 0.05 and probe.num_elements == 16
+        ch = self._read(picmus_mapping(angles=np.array([0.05]), data={"real": real}))
+        assert ch.tx.angle == 0.05 and ch.probe.num_elements == 16
         assert np.array_equal(ch.samples, real.T)
+
+    @pytest.mark.parametrize("angle_index", [None, 0])
+    @pytest.mark.parametrize("real, held", [
+        (np.zeros((16, 64)), 1),
+        (np.zeros((3, 16, 64)), 3),
+    ])
+    def test_data_angle_count_must_match_angles(self, real, held, angle_index):
+        named = "mem.hdf5: data/real holds %d angles, 'angles' lists 5" % held
+        with pytest.raises(StructureError, match=named):
+            self._read(picmus_mapping(data={"real": real}), angle_index)
 
     def test_element_positions_stored_n_by_3(self):
         geom = picmus_mapping()["US"]["US_DATASET0000"]["probe_geometry"]
-        _, probe = self._read(picmus_mapping(probe_geometry=geom.T.copy()))
+        probe = self._read(picmus_mapping(probe_geometry=geom.T.copy())).probe
         assert probe.num_elements == 16
         assert probe.pitch == pytest.approx(0.3e-3, rel=1e-9)
 
     def test_absent_sound_speed_and_initial_time(self):
-        _, probe = self._read(
+        probe = self._read(
             picmus_mapping(sound_speed=None, initial_time=None, modulation_frequency=None)
-        )
+        ).probe
         assert (probe.sound_speed, probe.t0_offset) == (1540.0, 0.0)
-        _, probe = self._read(
+        probe = self._read(
             picmus_mapping(sound_speed=np.array(1480.0), initial_time=np.array(2e-6))
-        )
+        ).probe
         assert (probe.sound_speed, probe.t0_offset) == (1480.0, 2e-6)
 
     def test_non_uniform_pitch_is_the_mean_spacing(self):
         geom = np.zeros((3, 4))
         geom[0] = [0.3e-3, -0.3e-3, 0.0, 0.7e-3]  # sorted spacings 0.3, 0.3, 0.4 mm
-        _, probe = self._read(picmus_mapping(num_elements=4, probe_geometry=geom))
+        probe = self._read(picmus_mapping(num_elements=4, probe_geometry=geom)).probe
         assert probe.num_elements == 4
         assert probe.pitch == pytest.approx(1.0e-3 / 3, rel=1e-12)
